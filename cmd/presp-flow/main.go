@@ -8,17 +8,17 @@
 //	presp-flow -preset SOC_2                 # a built-in configuration
 //	presp-flow -config my_soc.json           # a JSON tile-grid config
 //	presp-flow -preset SoC_A -strategy serial -baseline both
-//	presp-flow -preset SOC_2 -journal run.jsonl -timeout 30s
-//	presp-flow -preset SOC_2 -resume run.jsonl
 //	presp-flow -preset SOC_2 -cache-dir ~/.cache/presp  # persistent warm starts
+//	presp-flow -preset SOC_2 -cache-dir ~/.cache/presp -timeout 30s
 //	presp-flow -preset SOC_2 -faults 'seed=7,synth=0.2' -retries 2
 //
 // Presets: SOC_1..SOC_4 (characterization), SoC_A..SoC_D (WAMI flow
 // evaluation), SoC_X/SoC_Y/SoC_Z (WAMI runtime systems).
 //
 // The run is interruptible: SIGINT/SIGTERM (or -timeout) stop it at
-// the next job boundary. With -journal, completed jobs are recorded so
-// a later -resume run skips them through the checkpoint cache.
+// the next job boundary. With -cache-dir, an interrupted run resumes by
+// re-running against the same directory: every synthesis checkpoint and
+// stage artifact that reached disk is reused.
 package main
 
 import (
@@ -59,8 +59,6 @@ type cliOptions struct {
 	incremental bool
 	errorPolicy flow.ErrorPolicy
 	faultPlan   *faultinject.Plan
-	journalPath string
-	resumePath  string
 	cacheDir    string
 	tracePath   string
 	metricsPath string
@@ -84,8 +82,6 @@ func parseCLI(args []string) (*cliOptions, error) {
 	fs.IntVar(&o.retries, "retries", 0, "retry failed jobs up to N times with capped virtual-time backoff")
 	fs.BoolVar(&o.incremental, "incremental", true, "cache stage artifacts (floorplan, per-partition impl, bitstreams) so edited re-runs skip unchanged stages")
 	fs.StringVar(&policy, "error-policy", "fail-fast", "job-failure policy: fail-fast or collect")
-	fs.StringVar(&o.journalPath, "journal", "", "record completed jobs to this JSON-lines file (resumable with -resume)")
-	fs.StringVar(&o.resumePath, "resume", "", "resume from a journal written by an interrupted run")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cu.RegisterWorkers(fs, "workers")
 	cu.RegisterTimeout(fs)
@@ -112,9 +108,6 @@ func parseCLI(args []string) (*cliOptions, error) {
 	default:
 		return nil, fmt.Errorf("unknown error policy %q (want fail-fast or collect)", policy)
 	}
-	if o.journalPath != "" && o.journalPath == o.resumePath {
-		return nil, fmt.Errorf("-journal and -resume must name different files")
-	}
 	return o, nil
 }
 
@@ -124,19 +117,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "presp-flow:", err)
 		os.Exit(2)
 	}
-	// SIGINT/SIGTERM cancel the flow at the next job boundary; the
-	// journal (if any) stays valid for -resume.
+	// SIGINT/SIGTERM cancel the flow at the next job boundary; what
+	// reached -cache-dir stays valid for a resuming re-run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "presp-flow:", err)
-		if o.journalPath != "" {
-			if _, statErr := os.Stat(o.journalPath); statErr == nil {
-				fmt.Fprintf(os.Stderr, "presp-flow: journal saved; resume with -resume %s\n", o.journalPath)
-			}
+		if hint := resumeHint(err, o.cacheDir); hint != "" {
+			fmt.Fprintln(os.Stderr, "presp-flow:", hint)
 		}
 		os.Exit(1)
 	}
+}
+
+// resumeHint tells the user how to resume a run that was interrupted
+// (signal or -timeout) over a cache directory; other failures, and runs
+// without one, get no hint.
+func resumeHint(err error, cacheDir string) string {
+	if cacheDir == "" || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		return ""
+	}
+	return "rerun with the same -cache-dir to resume"
 }
 
 func run(ctx context.Context, o *cliOptions) error {
@@ -188,28 +189,6 @@ func run(ctx context.Context, o *cliOptions) error {
 		}
 		opt.Strategy = strat
 	}
-	if o.resumePath != "" {
-		f, err := os.Open(o.resumePath)
-		if err != nil {
-			return err
-		}
-		journal, jerr := flow.LoadJournal(f)
-		f.Close()
-		if jerr != nil {
-			return fmt.Errorf("%s: %w", o.resumePath, jerr)
-		}
-		opt.Resume = journal
-		fmt.Printf("resuming: %d completed jobs journaled in %s\n", len(journal.CompletedJobs()), o.resumePath)
-	}
-	if o.journalPath != "" {
-		f, err := os.Create(o.journalPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opt.Journal = flow.NewJournal(f)
-	}
-
 	res, err := flow.RunPRESP(ctx, d, opt)
 	if err != nil {
 		return err
@@ -231,7 +210,7 @@ func run(ctx context.Context, o *cliOptions) error {
 	// Baselines run unobserved: the exported trace describes exactly
 	// the main flow, so its span count matches res.Jobs.
 	baseOpt := opt
-	baseOpt.Journal, baseOpt.Resume, baseOpt.Observer = nil, nil, nil
+	baseOpt.Observer = nil
 	switch o.baseline {
 	case "":
 	case "mono":

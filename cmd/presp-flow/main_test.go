@@ -47,7 +47,6 @@ func TestParseCLIRobustnessFlags(t *testing.T) {
 		"-retries", "2",
 		"-error-policy", "collect",
 		"-faults", "seed=7,synth@rt_1_rp:count=1,impl=0.3",
-		"-journal", "run.jsonl",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,7 @@ func TestParseCLIRobustnessFlags(t *testing.T) {
 	if o.timeout != 90*time.Second {
 		t.Fatalf("timeout = %v", o.timeout)
 	}
-	if o.retries != 2 || o.errorPolicy != flow.Collect || o.journalPath != "run.jsonl" {
+	if o.retries != 2 || o.errorPolicy != flow.Collect {
 		t.Fatalf("parsed: %+v", o)
 	}
 	if o.faultPlan == nil || o.faultPlan.Seed != 7 || len(o.faultPlan.Rules) != 2 {
@@ -72,7 +71,8 @@ func TestParseCLIRejects(t *testing.T) {
 		{"-faults", "frobnicate@x:count=1"},
 		{"-faults", "synth:count=notanumber"},
 		{"-retries", "-1"},
-		{"-journal", "same.jsonl", "-resume", "same.jsonl"},
+		{"-journal", "run.jsonl"}, // resume is -cache-dir's job
+		{"-resume", "run.jsonl"},
 		{"-preset", "SOC_1", "stray-arg"},
 		{"-no-such-flag"},
 	}
@@ -145,19 +145,30 @@ func TestRunMissingConfig(t *testing.T) {
 	}
 }
 
-// TestRunJournalAndResume drives the whole binary logic end to end:
-// run with -journal, then resume from the written file.
-func TestRunJournalAndResume(t *testing.T) {
+// TestRunResumeFromCacheDir drives the whole binary logic end to end:
+// a run interrupted by -timeout over a cache directory fails with the
+// deadline and earns the resume hint, and re-running against the same
+// directory completes.
+func TestRunResumeFromCacheDir(t *testing.T) {
 	dir := t.TempDir()
-	journal := dir + "/run.jsonl"
-	o, err := parseCLI([]string{"-preset", "SOC_1", "-journal", journal})
+	o, err := parseCLI([]string{"-preset", "SOC_1", "-cache-dir", dir, "-timeout", "1ns"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), o); err != nil {
-		t.Fatalf("journaled run failed: %v", err)
+	err = run(context.Background(), o)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("interrupted run = %v, want context.DeadlineExceeded", err)
 	}
-	o, err = parseCLI([]string{"-preset", "SOC_1", "-resume", journal})
+	if got, want := resumeHint(err, dir), "rerun with the same -cache-dir to resume"; got != want {
+		t.Fatalf("resume hint = %q, want %q", got, want)
+	}
+	if got := resumeHint(err, ""); got != "" {
+		t.Fatalf("hint without -cache-dir = %q, want none", got)
+	}
+	if got := resumeHint(errors.New("unknown preset"), dir); got != "" {
+		t.Fatalf("hint for a non-interrupt failure = %q, want none", got)
+	}
+	o, err = parseCLI([]string{"-preset", "SOC_1", "-cache-dir", dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@
 //
 //	presp-served -addr :8080                  # serve the job API
 //	presp-served -addr :8080 -workers 4 -queue 128
-//	presp-served -journal-dir /var/lib/presp  # persist per-job journals
 //	presp-served -cache-dir /var/cache/presp  # persistent checkpoint tier: restarts warm-start
 //	presp-served -state-dir /var/lib/presp    # job WAL: a kill -9'd daemon recovers its jobs on reboot
 //	presp-served -job-stall-timeout 5m        # watchdog: requeue, then poison, runs with no heartbeat
@@ -25,8 +24,12 @@
 //	GET    /debug/pprof/   standard pprof handlers
 //
 // SIGINT/SIGTERM drain gracefully: queued jobs are rejected with
-// "server draining", in-flight jobs finish and are journaled, then the
-// process exits.
+// "server draining", in-flight jobs finish, then the process exits.
+//
+// A recovered job (-state-dir) is re-queued and re-run against the
+// daemon's caches: warm with -cache-dir, which keeps every checkpoint
+// and stage artifact the crashed run persisted, cold but byte-identical
+// without it.
 package main
 
 import (
@@ -55,7 +58,6 @@ type cliOptions struct {
 	workers      int
 	queue        int
 	jobWorkers   int
-	journalDir   string
 	cacheDir     string
 	cacheMaxMB   int64
 	stageCache   bool
@@ -79,11 +81,10 @@ func parseCLI(args []string) (*cliOptions, error) {
 	fs.IntVar(&o.workers, "workers", 2, "concurrent flow executions")
 	fs.IntVar(&o.queue, "queue", 64, "admission queue depth (submissions beyond it get 429)")
 	cu.RegisterWorkers(fs, "job-workers")
-	fs.StringVar(&o.journalDir, "journal-dir", "", "write each job's flow journal to this directory")
 	cu.RegisterCacheDir(fs, "a restarted daemon warm-starts from it")
 	fs.Int64Var(&o.cacheMaxMB, "cache-max-mb", 0, "byte budget for -cache-dir in MiB, GC'd oldest-access-first (0 = unbounded)")
 	fs.BoolVar(&o.stageCache, "stage-cache", true, "share a stage-artifact cache across jobs so resubmitted edited specs skip unchanged stages")
-	fs.StringVar(&o.stateDir, "state-dir", "", "durable job state: WAL + resume journals; a crashed daemon recovers its jobs from here on the next boot")
+	fs.StringVar(&o.stateDir, "state-dir", "", "durable job state (the job WAL); a crashed daemon recovers its jobs from here on the next boot")
 	fs.DurationVar(&o.stallTimeout, "job-stall-timeout", 0, "watchdog: cancel+requeue a run with no scheduler heartbeat for this long (0 = off)")
 	fs.IntVar(&o.stallReq, "stall-requeues", 1, "watchdog requeue budget before a stalled job is poisoned")
 	fs.IntVar(&o.breakerN, "breaker-threshold", 0, "open the per-tenant circuit after this many consecutive failures of one spec (0 = off)")
@@ -156,7 +157,6 @@ func buildServer(o *cliOptions, out io.Writer) (*server.Server, error) {
 		Workers:          o.workers,
 		QueueDepth:       o.queue,
 		JobWorkers:       o.jobWorkers,
-		JournalDir:       o.journalDir,
 		StateDir:         o.stateDir,
 		StallTimeout:     o.stallTimeout,
 		StallRequeues:    o.stallReq,
@@ -186,8 +186,8 @@ func buildServer(o *cliOptions, out io.Writer) (*server.Server, error) {
 			return nil, fmt.Errorf("recover: %w", err)
 		}
 		if stats.Jobs > 0 {
-			fmt.Fprintf(out, "presp-served: recovered %d jobs from %s (%d requeued, %d resumed mid-flow, %d already terminal)\n",
-				stats.Jobs, o.stateDir, stats.Requeued, stats.Resumed, stats.Terminal)
+			fmt.Fprintf(out, "presp-served: recovered %d jobs from %s (%d requeued, %d already terminal)\n",
+				stats.Jobs, o.stateDir, stats.Requeued, stats.Terminal)
 		}
 	}
 	return srv, nil
@@ -196,11 +196,6 @@ func buildServer(o *cliOptions, out io.Writer) (*server.Server, error) {
 // run boots the service and blocks until ctx is cancelled (signal) or,
 // in smoke mode, until the self-test finishes.
 func run(ctx context.Context, o *cliOptions, out io.Writer) error {
-	if o.journalDir != "" {
-		if err := os.MkdirAll(o.journalDir, 0o755); err != nil {
-			return err
-		}
-	}
 	srv, err := buildServer(o, out)
 	if err != nil {
 		return err
@@ -274,9 +269,9 @@ func smoke(base string, out io.Writer) ([]string, error) {
 		return nil, err
 	}
 	var job struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-		Error string `json:"error"`
+		ID     string `json:"id"`
+		State  string `json:"state"`
+		Error  string `json:"error"`
 		Result *struct {
 			TotalMin      float64  `json:"total_min"`
 			CacheMisses   int      `json:"cache_misses"`

@@ -31,14 +31,14 @@ func TestParseCLI(t *testing.T) {
 	t.Run("overrides", func(t *testing.T) {
 		o, err := parseCLI([]string{
 			"-addr", ":9000", "-workers", "8", "-queue", "128",
-			"-job-workers", "4", "-journal-dir", "/tmp/j",
+			"-job-workers", "4",
 			"-drain-timeout", "5s", "-retry-after", "2s",
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o.addr != ":9000" || o.workers != 8 || o.queue != 128 ||
-			o.jobWorkers != 4 || o.journalDir != "/tmp/j" ||
+			o.jobWorkers != 4 ||
 			o.drainTimeout != 5*time.Second || o.retryAfter != 2*time.Second {
 			t.Errorf("parsed = %+v", o)
 		}
@@ -97,7 +97,7 @@ func TestParseCLI(t *testing.T) {
 // TestSmokeMode boots the daemon exactly as `make serve-smoke` does:
 // ephemeral port, one real job through the HTTP API, graceful drain.
 func TestSmokeMode(t *testing.T) {
-	o, err := parseCLI([]string{"-smoke", "-journal-dir", t.TempDir()})
+	o, err := parseCLI([]string{"-smoke"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 // Cancellation and resume suite: a flow killed at any point must leak
-// no goroutines, leave the checkpoint cache and journal consistent, and
-// resume to a byte-identical result.
+// no goroutines, leave its caches consistent, and resume over the same
+// cache directory to a byte-identical result.
 package flow
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -59,78 +59,105 @@ func TestSchedulerRandomCancelPoints(t *testing.T) {
 	leakcheck.VerifyNone(t)
 }
 
-// cancellingWriter counts journal lines and fires cancel once the
-// configured number has been written — a deterministic stand-in for
-// kill -9 at an arbitrary point of the run.
-type cancellingWriter struct {
-	buf    bytes.Buffer
-	cancel context.CancelFunc
-	after  int
-	writes int
-}
-
-func (w *cancellingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes == w.after {
-		w.cancel()
-	}
-	return w.buf.Write(p)
-}
-
-// TestFlowKillAndResume: interrupt a PR-ESP run after every possible
-// number of journaled completions, then resume from the journal with a
-// fresh cache. The resumed run must complete, hit the cache at least
-// once per journaled synthesis, and produce a byte-identical result.
-func TestFlowKillAndResume(t *testing.T) {
-	cfg := socgen.SOC1()
-	base := Options{Compress: true, Workers: 4}
-
-	ref, err := RunPRESP(context.Background(), elaborate(t, cfg), base)
+// countEntries counts the live disk-tier entries of one kind (".ckpt"
+// synthesis checkpoints or ".art" stage artifacts) in a cache directory.
+func countEntries(t *testing.T, dir, ext string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+ext))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSig := resultSignature(ref)
-	totalJobs := ref.Jobs.Executed()
+	return len(names)
+}
 
-	for k := 1; k <= totalJobs+1; k++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		w := &cancellingWriter{cancel: cancel, after: 1 + k} // +1: header line
-		opt := base
-		opt.Journal = NewJournal(w)
-		_, runErr := RunPRESP(ctx, elaborate(t, cfg), opt)
-		cancel()
-		if runErr == nil {
-			// Cancellation landed after the last job: the run finished.
-			continue
+// TestFlowKillAtEveryCachePrefix: interrupt a PR-ESP run over a cache
+// directory after every possible number of completed jobs, then re-run
+// with fresh in-memory caches over the same directory, as a new process
+// resuming would. The re-run must produce a byte-identical result,
+// reuse every checkpoint and stage artifact that reached disk before the
+// interruption, and synthesize only what did not. A second leg repeats the kill
+// under a fault plan: stage caching is off there, so only checkpoints
+// carry over, and the resumed result must equal the uninterrupted
+// faulty run.
+func TestFlowKillAtEveryCachePrefix(t *testing.T) {
+	cfg := socgen.SOC1()
+	legs := []struct {
+		name string
+		opt  Options
+	}{
+		{"fault-free", Options{Compress: true, Workers: 4}},
+		{"faulty", Options{
+			Compress: true, Workers: 4, MaxJobRetries: 1, ErrorPolicy: Collect,
+			FaultPlan: parsePlan(t, "seed=5,synth=0.4,bitgen=0.5,impl:count=1"),
+		}},
+	}
+	for _, leg := range legs {
+		run := func(ctx context.Context, dir string, heartbeat func(int, vivado.Minutes)) (*Result, error) {
+			opt := leg.opt
+			opt.Cache = vivado.NewCheckpointCache()
+			opt.StageCache = vivado.NewStageCache()
+			opt.CacheDir = dir
+			opt.Heartbeat = heartbeat
+			return RunPRESP(ctx, elaborate(t, cfg), opt)
 		}
-		if !errors.Is(runErr, context.Canceled) {
-			t.Fatalf("k=%d: interrupted run failed with %v, want context.Canceled", k, runErr)
-		}
-
-		journal, err := LoadJournal(bytes.NewReader(w.buf.Bytes()))
+		ref, err := run(context.Background(), t.TempDir(), nil)
 		if err != nil {
-			t.Fatalf("k=%d: journal unreadable after kill: %v", k, err)
+			t.Fatalf("%s: reference run: %v", leg.name, err)
 		}
-		synthJournaled := 0
-		for _, e := range journal.Entries() {
-			if e.Checkpoint != nil {
-				synthJournaled++
+		refSig := resultSignature(ref)
+		totalJobs := ref.Jobs.Executed()
+
+		interrupted := 0
+		for k := 1; k <= totalJobs; k++ {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			_, runErr := run(ctx, dir, func(completed int, _ vivado.Minutes) {
+				if completed == k {
+					cancel()
+				}
+			})
+			cancel()
+			if runErr == nil {
+				continue // cancellation landed after the last job
+			}
+			if !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("%s k=%d: interrupted run failed with %v, want context.Canceled", leg.name, k, runErr)
+			}
+			interrupted++
+			ckpts, arts := countEntries(t, dir, ".ckpt"), countEntries(t, dir, ".art")
+
+			res, err := run(context.Background(), dir, nil)
+			if err != nil {
+				t.Fatalf("%s k=%d: resumed run failed: %v", leg.name, k, err)
+			}
+			if sig := resultSignature(res); sig != refSig {
+				t.Fatalf("%s k=%d: resumed result differs from uninterrupted run:\n--- resumed ---\n%s--- reference ---\n%s",
+					leg.name, k, sig, refSig)
+			}
+			j := res.Jobs
+			if j.CacheHits < ckpts {
+				t.Errorf("%s k=%d: resumed run reused %d checkpoints, disk held %d .ckpt", leg.name, k, j.CacheHits, ckpts)
+			}
+			if leg.opt.FaultPlan != nil {
+				// Stage caching is off under faults, and a synthesis the
+				// plan failed never reached disk: only reuse is owed.
+				continue
+			}
+			// Synthesis is paid exactly for the checkpoints the kill lost:
+			// none once every checkpoint reached disk. (Whether it did by
+			// completion k is timing: synthesis jobs still queued when the
+			// cancellation lands observe it and never synthesize.)
+			if j.CacheMisses != ref.Jobs.CacheMisses-ckpts {
+				t.Errorf("%s k=%d: resumed run paid %d synthesis misses, want %d (%d distinct, %d on disk)",
+					leg.name, k, j.CacheMisses, ref.Jobs.CacheMisses-ckpts, ref.Jobs.CacheMisses, ckpts)
+			}
+			if j.Skipped < arts || j.CacheHits+j.Skipped < k {
+				t.Errorf("%s k=%d: resumed run reused %d checkpoints / skipped %d jobs; disk held %d .art after %d completions",
+					leg.name, k, j.CacheHits, j.Skipped, arts, k)
 			}
 		}
-
-		opt = base
-		opt.Resume = journal
-		opt.Cache = vivado.NewCheckpointCache()
-		res, err := RunPRESP(context.Background(), elaborate(t, cfg), opt)
-		if err != nil {
-			t.Fatalf("k=%d: resumed run failed: %v", k, err)
-		}
-		if sig := resultSignature(res); sig != refSig {
-			t.Fatalf("k=%d: resumed result differs from uninterrupted run:\n--- resumed ---\n%s--- reference ---\n%s", k, sig, refSig)
-		}
-		if res.Jobs.CacheHits < synthJournaled {
-			t.Fatalf("k=%d: %d cache hits on resume, want >= %d journaled syntheses",
-				k, res.Jobs.CacheHits, synthJournaled)
+		if interrupted == 0 {
+			t.Fatalf("%s: no prefix interrupted the run", leg.name)
 		}
 	}
 	leakcheck.VerifyNone(t)
@@ -150,10 +177,14 @@ func TestFlowCancelLeavesCacheConsistent(t *testing.T) {
 	cache := vivado.NewCheckpointCache()
 	for k := 1; k <= 4; k++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		// Cancel mid-run by journaling to a writer that pulls the plug.
-		w := &cancellingWriter{cancel: cancel, after: 1 + k}
+		// Cancel mid-run from the progress heartbeat after k completions.
 		_, runErr := RunPRESP(ctx, elaborate(t, cfg), Options{
-			Compress: true, Cache: cache, Journal: NewJournal(w), Workers: runtime.NumCPU(),
+			Compress: true, Cache: cache, Workers: runtime.NumCPU(),
+			Heartbeat: func(completed int, _ vivado.Minutes) {
+				if completed == k {
+					cancel()
+				}
+			},
 		})
 		cancel()
 		if runErr == nil {
@@ -202,28 +233,6 @@ func TestFlowPreCancelledContext(t *testing.T) {
 	_, err := RunPRESP(ctx, elaborate(t, socgen.SOC1()), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestResumeRejectsWrongDesign: a journal from one design must not
-// seed a different design's run.
-func TestResumeRejectsWrongDesign(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	opt := Options{Journal: j, Compress: true}
-	if _, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC1()), opt); err != nil {
-		t.Fatal(err)
-	}
-	journal, err := LoadJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), Options{Resume: journal}); err == nil {
-		t.Fatal("journal for SOC_1 accepted by a SOC_2 run")
-	}
-	// Same design, wrong flow.
-	if _, err := RunStandardDFX(context.Background(), elaborate(t, socgen.SOC1()), Options{Resume: journal}); err == nil {
-		t.Fatal("presp journal accepted by the standard-DFX flow")
 	}
 }
 

@@ -16,11 +16,11 @@
 //
 // Runs are fault-tolerant, cancellable and resumable: a context (plus
 // Options.Timeout) stops the graph at the next job boundary, failed
-// jobs are retried with capped virtual-time backoff, seeded CAD faults
-// can be injected from a faultinject plan, every completion is
-// journaled, and a journal from a killed run resumes via the
-// synthesis-checkpoint cache. See DESIGN.md §11 for the failure
-// semantics.
+// jobs are retried with capped virtual-time backoff, and seeded CAD
+// faults can be injected from a faultinject plan. An interrupted run
+// resumes by re-running against the same Options.CacheDir: every
+// checkpoint and stage artifact that reached disk is reused. See
+// DESIGN.md §11 for the failure semantics.
 package flow
 
 import (
@@ -89,16 +89,17 @@ type Options struct {
 	Workers int
 	// Cache is a shared synthesis-checkpoint cache; runs with a warm
 	// cache skip re-synthesizing unchanged modules (nil = no cache,
-	// except that Resume or CacheDir creates a private one).
+	// except that CacheDir creates a private one).
 	Cache *vivado.CheckpointCache
 	// CacheDir, when set, backs the checkpoint cache with a persistent
 	// disk tier rooted at the directory (created if absent): inserts
 	// write through, memory misses read through, and LRU evictions
 	// demote to disk, so a later run — or a restarted daemon — against
-	// the same directory warm-starts instead of re-synthesizing. When
-	// Cache is nil a private cache is created to carry the tier; when
-	// the caller's Cache already has a disk store attached, CacheDir is
-	// ignored in favour of it.
+	// the same directory warm-starts instead of re-synthesizing. This is
+	// also how an interrupted run resumes: re-run against the same
+	// directory. When Cache is nil a private cache is created to carry
+	// the tier; when the caller's Cache already has a disk store
+	// attached, CacheDir is ignored in favour of it.
 	CacheDir string
 	// StageCache is a shared stage-artifact cache enabling incremental
 	// re-flow: floorplan solutions, implementation results and bitstream
@@ -136,13 +137,6 @@ type Options struct {
 	// fault hook. Injection is order-independent, so results under
 	// faults stay byte-identical for every worker count.
 	FaultPlan *faultinject.Plan
-	// Journal, when set, records every completed job (JSON lines); a
-	// later run can resume from it.
-	Journal *Journal
-	// Resume replays a journal from an interrupted run: journaled
-	// synthesis checkpoints are preloaded into the cache, so completed
-	// work is skipped. The journal must match the design and flow.
-	Resume *Journal
 	// Heartbeat, when set, is called from the scheduler coordinator
 	// after every completed job with the cumulative count of completed
 	// jobs and the run's virtual-time position (sum of modelled job
@@ -224,7 +218,7 @@ const (
 	modeStandardDFX
 )
 
-// name labels the mode in journals, matching the presp-flow CLI.
+// name labels the mode in stage keys, matching the presp-flow CLI.
 func (m flowMode) name() string {
 	if m == modeStandardDFX {
 		return "standard-dfx"
@@ -234,11 +228,11 @@ func (m flowMode) name() string {
 
 // RunPRESP executes the PR-ESP flow on design d, bounded by ctx (and
 // Options.Timeout): cancellation stops the run at the next job
-// boundary, drains the worker pool and leaves the checkpoint cache and
-// journal consistent for a later resume. Designs without
-// reconfigurable tiles (plain ESP SoCs with native accelerator tiles)
-// fall through to the monolithic implementation — the flow degrades
-// gracefully to the base ESP behaviour.
+// boundary, drains the worker pool and leaves the checkpoint and stage
+// caches consistent, so a re-run over the same CacheDir resumes.
+// Designs without reconfigurable tiles (plain ESP SoCs with native
+// accelerator tiles) fall through to the monolithic implementation —
+// the flow degrades gracefully to the base ESP behaviour.
 func RunPRESP(ctx context.Context, d *socgen.Design, opt Options) (*Result, error) {
 	if len(d.RPs) == 0 {
 		return RunMonolithic(ctx, d, opt)
@@ -261,8 +255,8 @@ func FlowNames() []string {
 	return []string{"presp", "standard-dfx", "monolithic"}
 }
 
-// RunFlow dispatches a flow run by name — the journal/CLI naming shared
-// by presp-flow and the flow service. Unknown names are rejected before
+// RunFlow dispatches a flow run by name — the CLI naming shared by
+// presp-flow and the flow service. Unknown names are rejected before
 // any work starts.
 func RunFlow(ctx context.Context, flowName string, d *socgen.Design, opt Options) (*Result, error) {
 	switch flowName {
@@ -313,9 +307,9 @@ func flowCtx(ctx context.Context, opt Options) (context.Context, context.CancelF
 }
 
 // setupRun prepares the tool for one flow execution: fault injection
-// from the plan, the (possibly resume-private) checkpoint cache,
-// journal replay and the new journal's header.
-func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, error) {
+// from the plan and the (possibly private) checkpoint cache with its
+// disk tier.
+func setupRun(d *socgen.Design, opt Options) (*vivado.Tool, error) {
 	tool, err := vivado.New(d.Dev, opt.Model)
 	if err != nil {
 		return nil, err
@@ -328,9 +322,8 @@ func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, err
 		tool.SetFaultHook(inj.Check)
 	}
 	cache := opt.Cache
-	if cache == nil && (opt.Resume != nil || opt.CacheDir != "") {
-		// Resume rehydrates journaled checkpoints through the cache, and
-		// the disk tier needs a cache to sit under, so a private one
+	if cache == nil && opt.CacheDir != "" {
+		// The disk tier needs a cache to sit under, so a private one
 		// serves when the caller brought none.
 		cache = vivado.NewCheckpointCache()
 	}
@@ -350,57 +343,14 @@ func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, err
 	}
 	tool.SetCache(cache)
 	tool.SetObserver(opt.Observer)
-	digest := DesignDigest(d)
-	if opt.Resume != nil {
-		if err := opt.Resume.CheckDesign(digest, flowName); err != nil {
-			return nil, err
-		}
-		opt.Resume.Restore(cache)
-	}
-	opt.Journal.Begin(digest, flowName)
 	return tool, nil
 }
 
-// coordinatorTID is the trace lane for coordinator-side events
-// (journal writes), kept clear of the worker lanes 0..workers-1.
-const coordinatorTID = 1 << 20
-
-// journalBook captures each synthesis job's cache key and checkpoint so
-// the completion journal can embed them for resume. Synthesis jobs
-// write from worker goroutines; the journal callback reads from the
-// coordinator.
-type journalBook struct {
-	mu sync.Mutex
-	m  map[string]journalPayload
-}
-
-type journalPayload struct {
-	key string
-	ck  *vivado.SynthCheckpoint
-}
-
-func newJournalBook() *journalBook {
-	return &journalBook{m: make(map[string]journalPayload)}
-}
-
-func (b *journalBook) put(id, key string, ck *vivado.SynthCheckpoint) {
-	b.mu.Lock()
-	b.m[id] = journalPayload{key: key, ck: ck}
-	b.mu.Unlock()
-}
-
-func (b *journalBook) get(id string) journalPayload {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.m[id]
-}
-
-// execGraph runs the built graph under the options' retry, journal and
-// error policy, filling res.Jobs, res.Partial and res.JobErrors. It
-// returns the run-fatal error: execution-level failures (cancellation,
-// bad graph), journal write errors, or — under fail-fast — the first
-// job failure.
-func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, res *Result, book *journalBook) error {
+// execGraph runs the built graph under the options' retry and error
+// policy, filling res.Jobs, res.Partial and res.JobErrors. It returns
+// the run-fatal error: execution-level failures (cancellation, bad
+// graph) or — under fail-fast — the first job failure.
+func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, res *Result) error {
 	execOpt := ExecOptions{
 		Workers:     opt.Workers,
 		MaxRetries:  opt.MaxJobRetries,
@@ -409,51 +359,28 @@ func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, re
 		FailFast:    opt.ErrorPolicy == FailFast,
 		Observer:    opt.Observer,
 	}
-	reg := opt.Observer.Metrics()
-	if opt.Journal != nil || opt.Heartbeat != nil {
-		journalWrites := reg.Counter("flow_journal_writes_total")
-		tr := opt.Observer.Tracer()
-		if tr != nil {
-			tr.SetThreadName(coordinatorTID, "coordinator")
-		}
+	if opt.Heartbeat != nil {
 		// OnJobDone runs on the coordinator, serially, so the heartbeat
 		// accumulators need no extra synchronization.
 		completed := 0
 		var virtual vivado.Minutes
-		execOpt.OnJobDone = func(j *Job, out JobOutcome) {
+		execOpt.OnJobDone = func(_ *Job, out JobOutcome) {
 			if out.Err != nil {
 				return
 			}
 			completed++
 			virtual += out.Minutes
-			if opt.Journal != nil {
-				if out.Skipped {
-					opt.Journal.Skip(j.ID, j.Stage, out.Minutes)
-				} else {
-					p := book.get(j.ID)
-					opt.Journal.Completed(j.ID, j.Stage, out.Minutes, out.Attempts, p.key, p.ck)
-				}
-				journalWrites.Inc()
-				if tr != nil {
-					tr.Instant("journal", "journal/"+j.ID, coordinatorTID, nil)
-				}
-			}
-			if opt.Heartbeat != nil {
-				opt.Heartbeat(completed, virtual)
-			}
+			opt.Heartbeat(completed, virtual)
 		}
 	}
 	stats, jobErrs, execErr := g.ExecuteCtx(ctx, execOpt)
 	res.Jobs = stats
 	res.Jobs.CacheHits, res.Jobs.CacheMisses = cacheCounts(tool)
 	if c := tool.Cache(); c != nil {
-		reg.Gauge("vivado_cache_evictions").Set(float64(c.Evictions()))
+		opt.Observer.Metrics().Gauge("vivado_cache_evictions").Set(float64(c.Evictions()))
 	}
 	if execErr != nil {
 		return execErr
-	}
-	if err := opt.Journal.Err(); err != nil {
-		return fmt.Errorf("flow: journal write failed: %w", err)
 	}
 	if len(jobErrs) > 0 {
 		res.JobErrors = jobErrs
@@ -477,7 +404,7 @@ func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, re
 func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flowMode) (*Result, error) {
 	ctx, cancel := flowCtx(ctx, opt)
 	defer cancel()
-	tool, err := setupRun(d, opt, mode.name())
+	tool, err := setupRun(d, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +421,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	sk := buildStageKeys(d, tool, res.Strategy, opt, mode)
 
 	g := NewGraph()
-	book := newJournalBook()
 	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs
 
 	// --- Parse & split, then OoC synthesis (Fig 1): one job per
@@ -520,9 +446,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		staticCk = ck
 		res.SynthRuns["static"] = ck.Runtime
 		mu.Unlock()
-		if opt.Journal != nil {
-			book.put("synth/static", tool.CheckpointKey(staticMod, false), ck)
-		}
 		return ck.Runtime, nil
 	}))
 	for _, rp := range d.RPs {
@@ -541,9 +464,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			rpCks[rp.Name] = ck
 			res.SynthRuns[rp.Name] = ck.Runtime
 			mu.Unlock()
-			if opt.Journal != nil {
-				book.put(id, tool.CheckpointKey(rp.Content, true), ck)
-			}
 			return ck.Runtime, nil
 		}))
 	}
@@ -716,7 +636,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		}
 	}
 
-	if err := execGraph(ctx, g, tool, opt, res, book); err != nil {
+	if err := execGraph(ctx, g, tool, opt, res); err != nil {
 		return nil, err
 	}
 

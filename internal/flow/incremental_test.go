@@ -56,13 +56,13 @@ func editKernel(t *testing.T, d *socgen.Design, idx int) string {
 func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	cache := vivado.NewCheckpointCache()
 	stage := vivado.NewStageCache()
-	base := func(d *socgen.Design, j *Journal) Options {
+	base := func(d *socgen.Design, o *obs.Observer) Options {
 		return Options{
 			Compress:   true,
 			Cache:      cache,
 			StageCache: stage,
 			Strategy:   forceFully(t, d),
-			Journal:    j,
+			Observer:   o,
 		}
 	}
 
@@ -89,8 +89,8 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 
 	// Warm identical resubmission: every post-synthesis job skips.
 	d2 := elaborate(t, socgen.SOC2())
-	warmJournal := NewJournal(nil)
-	warm, err := RunPRESP(context.Background(), d2, base(d2, warmJournal))
+	warmObs := obs.New()
+	warm, err := RunPRESP(context.Background(), d2, base(d2, warmObs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,8 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("warm run diverged from cold run:\n--- warm ---\n%s--- cold ---\n%s",
 			resultSignature(warm), resultSignature(cold))
 	}
-	warmSkips := 0
-	for _, e := range warmJournal.Entries() {
-		if e.Kind == "job" && e.Skipped {
-			warmSkips++
-		}
-	}
-	if warmSkips != postSynth {
-		t.Fatalf("warm journal records %d skips, want %d", warmSkips, postSynth)
+	if warmSkips := obs.CountInstants(warmObs.Tracer().Events(), "stage-skip", ""); warmSkips != postSynth {
+		t.Fatalf("warm trace records %d stage skips, want %d", warmSkips, postSynth)
 	}
 
 	// One-kernel edit: re-cost partition 1, keep the envelope.
@@ -118,9 +112,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	if DesignDigest(d3) != DesignDigest(d1) {
 		t.Fatal("re-costing a kernel changed the design digest; the edit is not envelope-preserving")
 	}
-	editJournal := NewJournal(nil)
-	editOpt := base(d3, editJournal)
-	editOpt.Observer = obs.New()
+	editOpt := base(d3, obs.New())
 	edit, err := RunPRESP(context.Background(), d3, editOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +129,9 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("one-kernel edit paid %d synthesis misses, want 1 (the edited module)", edit.Jobs.CacheMisses)
 	}
 
-	// The journal must name exactly the edited partition's impl group
-	// and partial bitstream as the non-skipped post-synthesis jobs.
+	// The trace must name exactly the edited partition's impl group and
+	// partial bitstream as the non-skipped post-synthesis jobs: executed
+	// jobs carry a "job" span, skipped ones a "stage-skip" instant.
 	gi := -1
 	for i, group := range editOpt.Strategy.Groups {
 		for _, name := range group {
@@ -154,13 +147,26 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		"impl/group_" + padGroup(gi): true,
 		"bitgen/" + edited:           true,
 	}
-	for _, e := range editJournal.Entries() {
-		if e.Kind != "job" || e.Stage == StageSynth.String() {
+	seen := 0
+	for _, ev := range editOpt.Observer.Tracer().Events() {
+		var skipped bool
+		switch {
+		case ev.Phase == "X" && ev.Cat == "job":
+		case ev.Phase == "i" && ev.Cat == "stage-skip":
+			skipped = true
+		default:
 			continue
 		}
-		if e.Skipped == wantRan[e.Job] {
-			t.Errorf("journal: job %s skipped=%v, want ran=%v", e.Job, e.Skipped, wantRan[e.Job])
+		if ev.Args["stage"] == StageSynth.String() {
+			continue
 		}
+		seen++
+		if skipped == wantRan[ev.Name] {
+			t.Errorf("trace: job %s skipped=%v, want ran=%v", ev.Name, skipped, wantRan[ev.Name])
+		}
+	}
+	if seen != postSynth {
+		t.Fatalf("trace accounts for %d post-synthesis jobs, want %d", seen, postSynth)
 	}
 
 	// The incremental result must be byte-identical to a from-scratch
@@ -197,7 +203,9 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	}
 }
 
-func padGroup(gi int) string { return string([]byte{'0' + byte(gi/100%10), '0' + byte(gi/10%10), '0' + byte(gi%10)}) }
+func padGroup(gi int) string {
+	return string([]byte{'0' + byte(gi/100%10), '0' + byte(gi/10%10), '0' + byte(gi%10)})
+}
 
 // TestIncrementalWarmWorkerCountInvariance pins the determinism rule of
 // DESIGN.md §16: a run assembled entirely from cached artifacts is
@@ -296,5 +304,16 @@ func TestStageCacheDisabledUnderFaults(t *testing.T) {
 	}
 	if res.Jobs.Skipped != 0 || res.Jobs.StageCacheMisses != 0 {
 		t.Fatalf("faulted run used the stage cache: %+v", res.Jobs)
+	}
+}
+
+func TestDesignDigestDistinguishesDesigns(t *testing.T) {
+	d1 := elaborate(t, socgen.SOC1())
+	d2 := elaborate(t, socgen.SOC2())
+	if DesignDigest(d1) != DesignDigest(elaborate(t, socgen.SOC1())) {
+		t.Fatal("digest is not deterministic for the same design")
+	}
+	if DesignDigest(d1) == DesignDigest(d2) {
+		t.Fatal("different designs share a digest")
 	}
 }

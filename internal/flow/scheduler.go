@@ -290,7 +290,7 @@ type ExecOptions struct {
 	FailFast bool
 	// OnJobDone, when set, observes every finished job (success or
 	// final failure) from the coordinator goroutine, in completion
-	// order. The flow journals completed jobs through it.
+	// order. The flow's progress heartbeat rides on it.
 	OnJobDone func(j *Job, out JobOutcome)
 	// Observer, when set, records job spans, retry instants, worker
 	// occupancy and per-stage runtime histograms. Nil disables all
@@ -483,7 +483,7 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 		if d.skipped {
 			// A cache skip is reuse, not execution: it stays out of the
 			// per-stage executed counts, SimMinutes and flow_jobs_total so
-			// every executed-jobs invariant (span counts, journal replays)
+			// every executed-jobs invariant (span counts, flow_jobs_total)
 			// holds; only the skip-side books move.
 			stats.Skipped++
 			if stats.SkippedByStage == nil {

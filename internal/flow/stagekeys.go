@@ -74,7 +74,7 @@ type stageKeys struct {
 	scripts    string
 	implStatic string
 	serial     string
-	groups     []string          // one per strategy group
+	groups     []string // one per strategy group
 	bitgenFull string
 	partials   map[string]string // partition name -> partial-bitgen key
 }
@@ -343,4 +343,42 @@ func cachedStage[T any](sk *stageKeys, key string, run func(ctx context.Context)
 		return env.Minutes, true
 	}
 	return probe, wrapped
+}
+
+// DesignDigest fingerprints the parts of a design cached results depend
+// on: configuration name, device identity and capacity, the static
+// module set and every partition's name, content and resource envelope.
+// The flow service folds it into its single-flight spec key.
+func DesignDigest(d *socgen.Design) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	ws := func(s string) {
+		h.Write([]byte(s))
+		h.Write([]byte{0xff}) // separator: ("ab","c") != ("a","bc")
+	}
+	wu := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	ws(d.Cfg.Name)
+	ws(d.Dev.Name)
+	for _, n := range d.Dev.Total {
+		wu(uint64(n))
+	}
+	for _, m := range d.StaticModules {
+		ws(m.Name)
+		for _, n := range m.TotalCost() {
+			wu(uint64(n))
+		}
+	}
+	for _, rp := range d.RPs {
+		ws(rp.Name)
+		if rp.Content != nil {
+			ws(rp.Content.Name)
+		}
+		for _, n := range rp.Resources {
+			wu(uint64(n))
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

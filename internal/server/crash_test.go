@@ -274,19 +274,27 @@ func TestCrashEveryWALPrefix(t *testing.T) {
 	}
 }
 
-// TestRecoverResumesFromJournal: an interrupted run whose journal
-// survived must resume from it — the journal is handed to the flow as
-// Options.Resume and counted in RecoveryStats.Resumed.
-func TestRecoverResumesFromJournal(t *testing.T) {
+// TestRecoverResumesFromCacheDir: an interrupted run re-runs against
+// the server's caches. With the cache directory already holding every
+// checkpoint and stage artifact of the spec, as a crash late in the run
+// leaves it, and the WAL holding an admitted and started job, the
+// recovered run pays no synthesis and skips every post-synthesis job.
+func TestRecoverResumesFromCacheDir(t *testing.T) {
 	dir := t.TempDir()
-	spec := Spec{Preset: "SOC_2", Tau: 10}
+	cacheDir := filepath.Join(dir, "cache")
+	spec := Spec{Preset: "SOC_1", Compress: true}
+
+	// The crashed daemon's leftovers: a populated cache directory ...
+	s0, _ := bootDiskServer(t, cacheDir)
+	ref := runJob(t, s0, spec)
+	if err := s0.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// ... and a WAL whose job was admitted and started, never finished.
 	cs, err := compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Synthesize the crash leftovers: an admitted+started WAL and the
-	// interrupted run's journal with a matching design header.
 	var img bytes.Buffer
 	for _, r := range []walRecord{
 		{Op: walAdmitted, Job: "j000001", Tenant: "acme", Key: cs.key, Spec: &spec},
@@ -301,79 +309,21 @@ func TestRecoverResumesFromJournal(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), img.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "journals"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	jf, err := os.Create(filepath.Join(dir, "journals", "j000001.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := flow.NewJournal(jf)
-	j.Begin(flow.DesignDigest(cs.design), cs.spec.Flow)
-	jf.Close()
 
-	var gotResume *flow.Journal
-	st := &stubRunner{}
-	run := func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
-		gotResume = opt.Resume
-		return st.run(ctx, cs, opt)
+	s, stats := bootWALServer(t, dir, nil, Config{Cache: diskCache(t, cacheDir, nil)})
+	if stats.Jobs != 1 || stats.Requeued != 1 {
+		t.Fatalf("stats = %+v, want 1 job, 1 requeued", stats)
 	}
-	s, stats := bootWALServer(t, dir, run, Config{})
-	if stats.Jobs != 1 || stats.Requeued != 1 || stats.Resumed != 1 {
-		t.Fatalf("stats = %+v, want 1 job, 1 requeued, 1 resumed", stats)
+	got := waitState(t, s, "acme", "j000001", StateSucceeded).Result
+	synthJobs := ref.Partitions + 1 // every partition plus the static part
+	if got.CacheMisses != 0 || got.JobsExecuted != synthJobs || got.StageCacheMisses != 0 ||
+		got.JobsSkipped != ref.JobsExecuted-synthJobs {
+		t.Fatalf("recovered run: %d synthesis misses, %d executed, %d skipped, %d stage misses; want 0, %d, %d, 0",
+			got.CacheMisses, got.JobsExecuted, got.JobsSkipped, got.StageCacheMisses,
+			synthJobs, ref.JobsExecuted-synthJobs)
 	}
-	waitState(t, s, "acme", "j000001", StateSucceeded)
-	if gotResume == nil {
-		t.Fatal("recovered run was not handed its journal as Options.Resume")
-	}
-	if gotResume.DesignDigest() != flow.DesignDigest(cs.design) {
-		t.Fatal("resume journal does not match the design")
-	}
-}
-
-// TestRecoverIgnoresMismatchedJournal: a journal from a different design
-// must be ignored — cold re-run, never a poisoned resume.
-func TestRecoverIgnoresMismatchedJournal(t *testing.T) {
-	dir := t.TempDir()
-	spec := Spec{Preset: "SOC_2", Tau: 10}
-	cs, err := compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	for _, r := range []walRecord{
-		{Op: walAdmitted, Job: "j000001", Tenant: "acme", Key: cs.key, Spec: &spec},
-		{Op: walStarted, Job: "j000001"},
-	} {
-		enc, _ := encodeWALRecord(r)
-		img.Write(enc)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), img.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "journals"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	jf, err := os.Create(filepath.Join(dir, "journals", "j000001.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow.NewJournal(jf).Begin("not-this-design", "presp")
-	jf.Close()
-
-	var gotResume *flow.Journal
-	st := &stubRunner{}
-	run := func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
-		gotResume = opt.Resume
-		return st.run(ctx, cs, opt)
-	}
-	s, stats := bootWALServer(t, dir, run, Config{})
-	if stats.Resumed != 0 {
-		t.Fatalf("mismatched journal counted as resumed: %+v", stats)
-	}
-	waitState(t, s, "acme", "j000001", StateSucceeded)
-	if gotResume != nil {
-		t.Fatal("mismatched journal was handed to the flow")
+	if !reflect.DeepEqual(got.BitstreamCRCs, ref.BitstreamCRCs) {
+		t.Fatalf("bitstreams diverged:\nref       %v\nrecovered %v", ref.BitstreamCRCs, got.BitstreamCRCs)
 	}
 }
 
@@ -432,19 +382,21 @@ func TestCrashDaemonChild(t *testing.T) {
 // killPoint is one moment the battery kills the daemon at.
 type killPoint struct {
 	name string
-	// armed reports whether the daemon reached the point, given the
-	// job's journal path and the WAL path.
-	armed func(journal, wal string) bool
+	// armed reports whether the daemon reached the point, given its
+	// cache directory and the WAL path.
+	armed func(cacheDir, wal string) bool
 }
 
 // TestKill9CrashRecovery is the process-level half of the battery: a
 // real daemon (child process, real flow engine, durable WAL, disk-tier
 // cache) is killed with SIGKILL at increasingly late points — right
-// after admission, mid-run once the journal shows progress — and a
-// recovery server over the same state directory must finish the job
-// with bitstream CRCs byte-identical to an uninterrupted reference run,
-// without re-synthesizing journaled work and without duplicating the
-// job on idempotent resubmit.
+// after admission, mid-run once the first checkpoint reached the cache
+// directory, late in the run once the first stage artifact did — and a
+// recovery server over the same state directory must
+// finish the job with bitstream CRCs byte-identical to an uninterrupted
+// reference run, reusing every checkpoint and stage artifact that
+// survived the kill, and without duplicating the job on idempotent
+// resubmit.
 func TestKill9CrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -466,9 +418,11 @@ func TestKill9CrashRecovery(t *testing.T) {
 			_, err := os.Stat(wal)
 			return err == nil
 		}},
-		{name: "mid-run", armed: func(journal, _ string) bool {
-			fi, err := os.Stat(journal)
-			return err == nil && fi.Size() > 0
+		{name: "mid-run", armed: func(cacheDir, _ string) bool {
+			return countFiles(t, cacheDir, ".ckpt") > 0
+		}},
+		{name: "late-run", armed: func(cacheDir, _ string) bool {
+			return countFiles(t, cacheDir, ".art") > 0
 		}},
 	}
 	for _, pt := range points {
@@ -517,10 +471,10 @@ func TestKill9CrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			journalPath := filepath.Join(dir, "journals", accepted.ID+".jsonl")
+			cacheDir := filepath.Join(dir, "cache")
 			walPath := filepath.Join(dir, "jobs.wal")
 			deadline = time.Now().Add(10 * time.Second)
-			for !pt.armed(journalPath, walPath) {
+			for !pt.armed(cacheDir, walPath) {
 				if time.Now().After(deadline) {
 					t.Fatalf("kill point %q never armed", pt.name)
 				}
@@ -530,23 +484,20 @@ func TestKill9CrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			cmd.Wait() //nolint:errcheck
+			ckpts, arts := countFiles(t, cacheDir, ".ckpt"), countFiles(t, cacheDir, ".art")
 
 			// Recover in-process over the same state directory.
 			o := obs.New()
-			store, err := vivado.OpenDiskStore(filepath.Join(dir, "cache"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			store.SetObserver(o)
-			cache := vivado.NewCheckpointCache()
-			cache.SetDiskStore(store)
-			s := newTestServer(t, Config{Workers: 1, StateDir: dir, Cache: cache, Observer: o})
+			s := newTestServer(t, Config{Workers: 1, StateDir: dir, Cache: diskCache(t, cacheDir, o), Observer: o})
 			stats, err := s.Recover()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if stats.Jobs < 1 {
 				t.Fatalf("recovery found no jobs: %+v", stats)
+			}
+			if pt.name != "after-admission" && stats.Requeued != 1 {
+				t.Fatalf("%s kill left no live job to re-run: %+v", pt.name, stats)
 			}
 
 			// The job must finish (or already be finished) with CRCs
@@ -568,13 +519,13 @@ func TestKill9CrashRecovery(t *testing.T) {
 			if got := o.Metrics().Snapshot().Counters["server_recovered_jobs"]; got < 1 {
 				t.Fatalf("server_recovered_jobs = %d, want >= 1", got)
 			}
-			// A journaled mid-run kill must not re-pay journaled synthesis:
-			// the resumed run restores checkpoints instead of recomputing.
-			if pt.name == "mid-run" && stats.Resumed == 1 && v.Result.CacheMisses > 0 {
-				ent := countJournalEntries(t, journalPath)
-				if ent > 1 && v.Result.CacheHits == 0 {
-					t.Fatalf("resumed run re-synthesized everything: %d journal entries, 0 cache hits", ent)
-				}
+			t.Logf("kill left %d .ckpt / %d .art; recovered job: %d cache hits, %d jobs skipped (%d requeued)",
+				ckpts, arts, v.Result.CacheHits, v.Result.JobsSkipped, stats.Requeued)
+			// A re-run must reuse everything the killed run persisted:
+			// one hit per surviving checkpoint, one skip per artifact.
+			if stats.Requeued == 1 && (v.Result.CacheHits < ckpts || v.Result.JobsSkipped < arts) {
+				t.Fatalf("recovered run reused %d checkpoints and skipped %d jobs; the kill left %d .ckpt and %d .art",
+					v.Result.CacheHits, v.Result.JobsSkipped, ckpts, arts)
 			}
 
 			// Idempotent resubmit after the crash returns the recovered
@@ -588,16 +539,13 @@ func TestKill9CrashRecovery(t *testing.T) {
 	}
 }
 
-func countJournalEntries(t *testing.T, path string) int {
+// countFiles counts the entries of one kind (".ckpt" or ".art") in a
+// disk-tier cache directory; a missing directory holds none.
+func countFiles(t *testing.T, dir, ext string) int {
 	t.Helper()
-	f, err := os.Open(path)
+	names, err := filepath.Glob(filepath.Join(dir, "*"+ext))
 	if err != nil {
-		return 0
+		t.Fatal(err)
 	}
-	defer f.Close()
-	j, err := flow.LoadJournal(f)
-	if err != nil {
-		return 0
-	}
-	return len(j.Entries())
+	return len(names)
 }

@@ -228,21 +228,21 @@ type Job struct {
 }
 
 // ResultView is the JSON summary of a completed flow run: the modelled
-// wall times, the scheduler's execution counters and the journal size.
+// wall times and the scheduler's execution and cache counters.
 // Everything in it is deterministic for a given spec, which is what
 // makes the golden-file API tests and the single-flight result-equality
 // guarantee possible.
 type ResultView struct {
-	Flow           string  `json:"flow"`
-	Strategy       string  `json:"strategy"`
-	Tau            int     `json:"tau"`
-	SynthWallMin   float64 `json:"synth_wall_min"`
-	PRWallMin      float64 `json:"pr_wall_min"`
-	BitgenWallMin  float64 `json:"bitgen_wall_min"`
-	TotalMin       float64 `json:"total_min"`
-	JobsExecuted   int     `json:"jobs_executed"`
-	CacheHits      int     `json:"cache_hits"`
-	CacheMisses    int     `json:"cache_misses"`
+	Flow          string  `json:"flow"`
+	Strategy      string  `json:"strategy"`
+	Tau           int     `json:"tau"`
+	SynthWallMin  float64 `json:"synth_wall_min"`
+	PRWallMin     float64 `json:"pr_wall_min"`
+	BitgenWallMin float64 `json:"bitgen_wall_min"`
+	TotalMin      float64 `json:"total_min"`
+	JobsExecuted  int     `json:"jobs_executed"`
+	CacheHits     int     `json:"cache_hits"`
+	CacheMisses   int     `json:"cache_misses"`
 	// JobsSkipped counts stage jobs satisfied from the stage-artifact
 	// cache instead of executing; SkippedByStage breaks the count down
 	// per stage and StageCacheMisses counts probes that found nothing.
@@ -253,9 +253,8 @@ type ResultView struct {
 	SkippedByStage   map[string]int `json:"skipped_by_stage,omitempty"`
 	StageCacheMisses int            `json:"stage_cache_misses,omitempty"`
 	Retries          int            `json:"retries,omitempty"`
-	Partial        bool    `json:"partial,omitempty"`
-	Partitions     int     `json:"partitions"`
-	JournalEntries int     `json:"journal_entries"`
+	Partial          bool           `json:"partial,omitempty"`
+	Partitions       int            `json:"partitions"`
 	// BitstreamCRCs fingerprints every generated image as
 	// "name:crc32" (IEEE, hex), sorted by name. Deterministic for a
 	// given spec, so a client — or the restart smoke test — can assert
@@ -265,21 +264,20 @@ type ResultView struct {
 }
 
 // summarizeResult converts a flow result to its wire form.
-func summarizeResult(spec Spec, res *flow.Result, journalEntries int) *ResultView {
+func summarizeResult(spec Spec, res *flow.Result) *ResultView {
 	rv := &ResultView{
-		Flow:           spec.Flow,
-		SynthWallMin:   float64(res.SynthWall),
-		PRWallMin:      float64(res.PRWall),
-		BitgenWallMin:  float64(res.BitgenWall),
-		TotalMin:       float64(res.Total),
+		Flow:             spec.Flow,
+		SynthWallMin:     float64(res.SynthWall),
+		PRWallMin:        float64(res.PRWall),
+		BitgenWallMin:    float64(res.BitgenWall),
+		TotalMin:         float64(res.Total),
 		JobsExecuted:     res.Jobs.Executed(),
 		CacheHits:        res.Jobs.CacheHits,
 		CacheMisses:      res.Jobs.CacheMisses,
 		JobsSkipped:      res.Jobs.Skipped,
 		StageCacheMisses: res.Jobs.StageCacheMisses,
 		Retries:          res.Jobs.Retries,
-		Partial:        res.Partial,
-		JournalEntries: journalEntries,
+		Partial:          res.Partial,
 	}
 	if len(res.Jobs.SkippedByStage) > 0 {
 		rv.SkippedByStage = make(map[string]int, len(res.Jobs.SkippedByStage))
@@ -310,11 +308,11 @@ func summarizeResult(spec Spec, res *flow.Result, journalEntries int) *ResultVie
 
 // JobView is the wire form of a job.
 type JobView struct {
-	ID           string      `json:"id"`
-	Tenant       string      `json:"tenant"`
-	State        JobState    `json:"state"`
-	Spec         Spec        `json:"spec"`
-	Deduplicated bool        `json:"deduplicated,omitempty"`
+	ID           string   `json:"id"`
+	Tenant       string   `json:"tenant"`
+	State        JobState `json:"state"`
+	Spec         Spec     `json:"spec"`
+	Deduplicated bool     `json:"deduplicated,omitempty"`
 	// IdempotencyKey echoes the client's Idempotency-Key header.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 	// Recovered marks a job replayed from the WAL after a restart.

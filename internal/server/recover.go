@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-
-	"presp/internal/flow"
 )
 
 // RecoveryStats summarizes one WAL replay at boot.
@@ -19,10 +17,9 @@ type RecoveryStats struct {
 	// Jobs is how many jobs were re-created from the log.
 	Jobs int `json:"jobs"`
 	// Requeued is how many live jobs went back on the admission queue.
+	// An interrupted run re-runs against the server's caches, so work
+	// that reached the disk tier before the crash is not recomputed.
 	Requeued int `json:"requeued"`
-	// Resumed is how many requeued flights found a usable journal from
-	// the interrupted run, so completed stages will not be recomputed.
-	Resumed int `json:"resumed"`
 	// Terminal is how many jobs were already finished in the log; their
 	// results are re-served from the replayed records.
 	Terminal int `json:"terminal"`
@@ -44,8 +41,10 @@ type replayJob struct {
 // rebuilds the server's job table: terminal jobs come back with their
 // recorded outcomes (so idempotent resubmits and GETs keep working
 // across the crash), and live jobs — admitted or interrupted
-// mid-run — are re-enqueued, with interrupted flights resuming from
-// their per-job journals so completed stages are never recomputed.
+// mid-run — are re-enqueued. A re-run resumes through the server's
+// caches: with a disk tier under them it reuses every checkpoint and
+// stage artifact the crashed run persisted, without one it runs cold
+// to the same byte-identical result.
 // It must be called once, before the server takes traffic; with no
 // StateDir it is a durability-off no-op. Calling it twice, or after
 // jobs were already admitted, is an error.
@@ -64,9 +63,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	}
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return RecoveryStats{}, fmt.Errorf("server: state dir: %w", err)
-	}
-	if err := os.MkdirAll(s.journalDir, 0o755); err != nil {
-		return RecoveryStats{}, fmt.Errorf("server: journal dir: %w", err)
 	}
 	w, recs, err := openWAL(filepath.Join(s.cfg.StateDir, "jobs.wal"))
 	if err != nil {
@@ -110,8 +106,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 		j.State = StateQueued
 		if rj.started {
-			// The crash interrupted this run; the next attempt resumes
-			// from its journal.
+			// The crash interrupted this run; the next attempt counts.
 			j.Attempts++
 		}
 	}
@@ -141,15 +136,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			s.walAppendLocked(walRecord{Op: walDone, Job: j.ID, State: StateFailed, Error: j.Err})
 			continue
 		}
-		g := s.newGroupLocked(cs, j)
-		if rj.started {
-			g.resume = s.loadResumeJournal(cs, rj.id)
-			if g.resume != nil {
-				stats.Resumed++
-				reg.Counter("server_recovered_resumed_total").Inc()
-			}
-		}
-		s.enqueueLocked(g)
+		s.enqueueLocked(s.newGroupLocked(cs, j))
 		s.cond.Signal()
 	}
 	for _, id := range order {
@@ -162,7 +149,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if tr := s.cfg.Observer.Tracer(); tr != nil && stats.Jobs > 0 {
 		tr.Instant("server", "recovered", serverTIDBase, map[string]any{
 			"records": stats.Records, "jobs": stats.Jobs,
-			"requeued": stats.Requeued, "resumed": stats.Resumed, "terminal": stats.Terminal,
+			"requeued": stats.Requeued, "terminal": stats.Terminal,
 		})
 	}
 	return stats, nil
@@ -234,28 +221,4 @@ func (s *Server) newGroupLocked(cs *compiledSpec, j *Job) *group {
 	j.group = g
 	s.flights[cs.key] = g
 	return g
-}
-
-// loadResumeJournal probes the interrupted run's journal — named after
-// the flight's leader job — and returns it when it is loadable and
-// matches the spec's design and flow. A missing, torn-at-birth or
-// mismatched journal just means a cold re-run; recovery never fails on
-// it.
-func (s *Server) loadResumeJournal(cs *compiledSpec, leader string) *flow.Journal {
-	if s.journalDir == "" {
-		return nil
-	}
-	f, err := os.Open(filepath.Join(s.journalDir, leader+".jsonl"))
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	j, err := flow.LoadJournal(f)
-	if err != nil {
-		return nil
-	}
-	if err := j.CheckDesign(flow.DesignDigest(cs.design), cs.spec.Flow); err != nil {
-		return nil
-	}
-	return j
 }

@@ -12,11 +12,10 @@ import (
 	"presp/internal/vivado"
 )
 
-// bootDiskServer builds a server whose checkpoint cache is backed by the
-// persistent tier at dir — the wiring presp-served -cache-dir performs.
-func bootDiskServer(t *testing.T, dir string) (*Server, *obs.Observer) {
+// diskCache builds a checkpoint cache backed by the persistent tier at
+// dir — the wiring presp-served -cache-dir performs.
+func diskCache(t *testing.T, dir string, o *obs.Observer) *vivado.CheckpointCache {
 	t.Helper()
-	o := obs.New()
 	store, err := vivado.OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +23,15 @@ func bootDiskServer(t *testing.T, dir string) (*Server, *obs.Observer) {
 	store.SetObserver(o)
 	cache := vivado.NewCheckpointCache()
 	cache.SetDiskStore(store)
-	return newTestServer(t, Config{Workers: 1, Cache: cache, Observer: o}), o
+	return cache
+}
+
+// bootDiskServer builds a server whose checkpoint cache is backed by the
+// persistent tier at dir.
+func bootDiskServer(t *testing.T, dir string) (*Server, *obs.Observer) {
+	t.Helper()
+	o := obs.New()
+	return newTestServer(t, Config{Workers: 1, Cache: diskCache(t, dir, o), Observer: o}), o
 }
 
 // runJob submits spec, waits for success and returns the result summary.

@@ -22,7 +22,9 @@ import (
 //
 // Replay (decodeWALPrefix) recovers the longest clean prefix: the first
 // record whose JSON does not parse, whose trailer is malformed or whose
-// CRC does not match marks the end of the trustworthy log. openWAL
+// CRC does not match marks the end of the trustworthy log. Fields a
+// version does not know are skipped, so upgrading over an old state
+// directory never truncates it. openWAL
 // truncates the file to that prefix before appending again, so a torn
 // tail can never glue itself onto the next record.
 
@@ -104,10 +106,12 @@ func decodeWALPrefix(data []byte) (recs []walRecord, clean int) {
 		if !ok || crc32.ChecksumIEEE(body) != want {
 			return recs, off
 		}
+		// Unknown fields are ignored, not rejected: a CRC-valid record
+		// written by an older or newer version (a ResultView field since
+		// removed, say) must replay, or openWAL would truncate it and
+		// every record after it.
 		var r walRecord
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&r); err != nil || r.Op == "" || r.Job == "" {
+		if err := json.Unmarshal(body, &r); err != nil || r.Op == "" || r.Job == "" {
 			return recs, off // CRC-valid but not a record we wrote
 		}
 		recs = append(recs, r)

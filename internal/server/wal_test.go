@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -136,6 +138,53 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 	}
 	if int64(clean) != fi.Size() {
 		t.Fatalf("log still has untrusted bytes: clean %d, size %d", clean, fi.Size())
+	}
+}
+
+// TestWALReplaysRecordsWithUnknownFields: a state directory written by
+// an earlier version holds CRC-valid records with fields this version
+// no longer has — here a done record whose result still carries
+// "journal_entries". Replay must keep it and everything after it, and
+// openWAL must not truncate the file.
+func TestWALReplaysRecordsWithUnknownFields(t *testing.T) {
+	recs := walFixture()
+	old := []byte(`{"op":"done","job":"j000001","state":"succeeded",` +
+		`"result":{"flow":"presp","strategy":"fully-parallel","tau":4,"total_min":42,` +
+		`"jobs_executed":9,"cache_hits":0,"cache_misses":5,"partitions":4,"journal_entries":7}}` + "\n")
+	old = append(old, fmt.Sprintf("crc32:%08x\n", crc32.ChecksumIEEE(old))...)
+	var data []byte
+	data = append(data, encodeAll(t, recs[:1])...)
+	data = append(data, old...)
+	data = append(data, encodeAll(t, []walRecord{{Op: walCancelled, Job: "j000002"}})...)
+
+	got, clean := decodeWALPrefix(data)
+	if len(got) != 3 || clean != len(data) {
+		t.Fatalf("replayed %d records (clean %d of %d bytes), want all 3", len(got), clean, len(data))
+	}
+	if r := got[1]; r.Op != walDone || r.Result == nil || r.Result.TotalMin != 42 || r.Result.Partitions != 4 {
+		t.Fatalf("old-format done record decoded as %+v", r)
+	}
+
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, replayed, err := openWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 3 {
+		t.Fatalf("openWAL replayed %d records, want 3", len(replayed))
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(data)) {
+		t.Fatalf("openWAL shrank the log to %d bytes, want %d", fi.Size(), len(data))
 	}
 }
 

@@ -379,9 +379,9 @@ func TestCacheDiskPromotionSingleFlight(t *testing.T) {
 // the key is later served back from disk as a hit.
 func TestCacheEvictionDemotesToDisk(t *testing.T) {
 	cache := NewCheckpointCache()
-	// Preload while memory-only, so nothing is on disk yet.
-	cache.Preload("a", testCheckpoint("ma"))
-	cache.Preload("b", testCheckpoint("mb"))
+	// Seed while memory-only, so nothing is on disk yet.
+	seed(cache, "a", testCheckpoint("ma"))
+	seed(cache, "b", testCheckpoint("mb"))
 	ds := openTestStore(t)
 	cache.SetDiskStore(ds)
 	if ds.Len() != 0 {

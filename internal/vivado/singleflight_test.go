@@ -174,57 +174,6 @@ func TestMaterializeNoAliasing(t *testing.T) {
 	}
 }
 
-// TestPreloadWinsOverOpenFlight: a Preload landing while a flight for
-// the same key is still computing takes the key — the flight's own
-// result is discarded on landing, and the leader plus every follower are
-// served the preloaded checkpoint. This pins the first-store-wins
-// precedence for the journal-rehydration race.
-func TestPreloadWinsOverOpenFlight(t *testing.T) {
-	cache := NewCheckpointCache()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderCk := make(chan *SynthCheckpoint, 1)
-	go func() {
-		ck, role, err := cache.materialize("k", func() (*SynthCheckpoint, error) {
-			close(started)
-			<-release
-			return &SynthCheckpoint{Name: "computed", Runtime: 9}, nil
-		})
-		if err != nil || role != roleLeader {
-			t.Errorf("leader = role %v, err %v", role, err)
-		}
-		leaderCk <- ck
-	}()
-	<-started
-
-	follower := make(chan *SynthCheckpoint, 1)
-	go func() {
-		ck, _, err := cache.materialize("k", func() (*SynthCheckpoint, error) {
-			return nil, fmt.Errorf("must not compute")
-		})
-		if err != nil {
-			t.Errorf("follower: %v", err)
-		}
-		follower <- ck
-	}()
-
-	// The journal-rehydration path lands while the flight is computing.
-	preloaded := &SynthCheckpoint{Name: "preloaded", Runtime: 3, BlackBoxes: []string{"u_rp0"}}
-	cache.Preload("k", preloaded)
-	close(release)
-
-	if ck := <-leaderCk; ck == nil || ck.Name != "preloaded" {
-		t.Fatalf("leader got %+v, want the preloaded checkpoint", ck)
-	}
-	if ck := <-follower; ck == nil || ck.Name != "preloaded" {
-		t.Fatalf("follower got %+v, want the preloaded checkpoint", ck)
-	}
-	cached, ok := cache.lookup("k")
-	if !ok || cached.Name != "preloaded" || cached.Runtime != 3 {
-		t.Fatalf("cache holds %+v, want the preloaded checkpoint (first store wins)", cached)
-	}
-}
-
 // TestMaterializeFailedFlightNotCached asserts a failed leader leaves
 // nothing behind: no entry, no inflight record, and the miss counter
 // reflects each real attempt.

@@ -128,15 +128,15 @@ func (t *Tool) CacheStats() (hits, misses int64) {
 
 // CheckpointKey returns the content-addressed cache key a synthesis of
 // m would use on this tool — the digest of everything the run depends
-// on. The flow journals it per synthesis job so an interrupted run can
-// be resumed from rehydrated cache entries.
+// on. The flow folds it into the stage-artifact keys downstream of each
+// synthesis job.
 func (t *Tool) CheckpointKey(m *rtl.Module, ooc bool) string {
 	return checkpointKey(t.dev, t.model, m, ooc)
 }
 
 // SynthCheckpoint is the product of a synthesis run. All fields are
-// exported and JSON-serializable so flow journals can embed completed
-// checkpoints for crash recovery.
+// exported and JSON-serializable so the disk tier can persist completed
+// checkpoints across restarts.
 type SynthCheckpoint struct {
 	// Name is the synthesized module name.
 	Name string

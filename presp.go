@@ -177,7 +177,7 @@ func (p *Platform) BuildSoC(cfg *socgen.Config) (*SoC, error) {
 
 // FlowOptions tunes a flow run. It is the flow engine's option struct
 // verbatim — one definition, so every engine knob (Observer, FaultPlan,
-// Journal, ErrorPolicy, ...) is available here without facade
+// CacheDir, ErrorPolicy, ...) is available here without facade
 // mirroring. The platform fills Model and Cache with its own when the
 // caller leaves them nil.
 type FlowOptions = flow.Options
@@ -206,8 +206,8 @@ type FlowResult = flow.Result
 // out-of-context synthesis, FLORA-style floorplanning, the size-driven
 // strategy choice, orchestrated P&R and bitstream generation.
 // Cancelling ctx (or FlowOptions.Timeout) stops the run at the next
-// job boundary, drains the worker pool and leaves the checkpoint cache
-// and journal consistent for a later resume.
+// job boundary, drains the worker pool and leaves the caches
+// consistent: re-running over the same FlowOptions.CacheDir resumes.
 func (p *Platform) RunFlow(ctx context.Context, s *SoC, opt FlowOptions) (*FlowResult, error) {
 	return flow.RunPRESP(ctx, s.Design, p.flowOptions(opt))
 }
@@ -266,8 +266,8 @@ func (p *Platform) UtilizationReport(s *SoC) (string, error) {
 // of identical submissions and graceful drain. With a StateDir it is
 // also crash-durable: every admission is logged to a write-ahead log
 // before the client sees 202, and Recover replays the log on the next
-// boot — re-enqueueing lost jobs and resuming interrupted runs from
-// their journals. Serve its Handler over HTTP, or drive
+// boot, re-enqueueing lost and interrupted jobs; a re-run reuses
+// whatever its caches' disk tier kept. Serve its Handler over HTTP, or drive
 // Submit/SubmitIdempotent/Get/Cancel in process. See DESIGN.md §13/§15.
 type FlowService = server.Server
 

@@ -2,7 +2,6 @@ package presp
 
 import (
 	"fmt"
-	"io"
 
 	"presp/internal/accel"
 	"presp/internal/bitstream"
@@ -71,11 +70,6 @@ type (
 	ConfigHealth = reconfig.ConfigHealth
 	// Minutes is the cost model's modelled-runtime unit.
 	Minutes = vivado.Minutes
-	// Journal records a flow run's completed jobs (JSON lines) so an
-	// interrupted run can be resumed (FlowOptions.Journal / .Resume).
-	Journal = flow.Journal
-	// JournalEntry is one journaled job completion.
-	JournalEntry = flow.JournalEntry
 	// JobError reports one failed flow job (Result.JobErrors, or the
 	// run error under the fail-fast policy).
 	JobError = flow.JobError
@@ -87,14 +81,6 @@ type (
 	// record a run (see NewObserver).
 	Observer = obs.Observer
 )
-
-// NewJournal starts a journal that appends one JSON line per completed
-// flow job to w.
-func NewJournal(w io.Writer) *Journal { return flow.NewJournal(w) }
-
-// LoadJournal reads a journal written by a previous (possibly killed)
-// run; a truncated trailing line is tolerated.
-func LoadJournal(r io.Reader) (*Journal, error) { return flow.LoadJournal(r) }
 
 // Fault-injection operations, re-exported for building FaultRules. The
 // runtime operations are injected by presp-sim's simulation engine;

@@ -74,15 +74,16 @@ fuzz:
 
 # Short fuzz pass over the property suites, part of `make ci`: the
 # scheduler executor, the reconfiguration fault-plan harness (any plan
-# must leave the tile un-wedged and two runs byte-identical), the CAD
-# fault-plan parser/injector (arbitrary plans parse or reject cleanly,
-# and the injected fault set is interleaving-independent), and the
+# must leave the tile un-wedged and two runs byte-identical), the fault
+# plan parser and injector over all twelve ops, runtime and CAD
+# (arbitrary plans parse or reject cleanly, and the injected fault set
+# is interleaving-independent), and the
 # disk-tier entry codec (any mutation of a persisted checkpoint must
 # fail the CRC check — corruption is quarantined, never decoded).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerExecute -fuzztime=5s ./internal/flow/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/reconfig/
-	$(GO) test -run=^$$ -fuzz=FuzzCADFaultPlan -fuzztime=5s ./internal/faultinject/
+	$(GO) test -run=^$$ -fuzz=FuzzInjector -fuzztime=5s ./internal/faultinject/
 	$(GO) test -run=^$$ -fuzz=FuzzDiskEntry -fuzztime=5s ./internal/vivado/
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=5s ./internal/server/
 

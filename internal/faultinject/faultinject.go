@@ -1,24 +1,34 @@
 // Package faultinject is a deterministic, seed-driven fault-injection
-// layer for the simulated hardware substrate. A Plan names the
-// operations that must fail — NoC transfers, decoupler engage and
-// disengage, ICAP programming, bitstream fetch corruption, kernel
-// execution — either at exact occurrence indices (deterministic rules)
-// or at a seeded probability per occurrence (rate rules). Because the
-// simulation engine is single-threaded and its event order is
-// reproducible, the same plan against the same workload injects the
-// same faults at the same virtual times on every run, which is what
-// makes error-path behaviour testable at all: a failure you cannot
+// layer for the simulated hardware substrate and the CAD flow. A Plan
+// names the operations that must fail — NoC transfers, decoupler engage
+// and disengage, ICAP programming, bitstream fetch corruption, kernel
+// execution, configuration-memory upsets, and the flow's synthesis,
+// floorplanning, implementation, bitstream-generation and DRC steps —
+// either at exact occurrence indices (deterministic rules) or at a
+// seeded probability per occurrence (rate rules).
+//
+// One Injector serves every operation, and its outcome is
+// order-independent: occurrences are counted per (rule, primary site)
+// and rate draws are a pure hash of (seed, rule, site, occurrence). The
+// same plan against the same per-site operation sequences injects the
+// same faults however the sites interleave — across the flow's worker
+// pool or across tiles in the runtime's event order — and appending a
+// rule to a plan never changes where the existing rules fire. That is
+// what makes error-path behaviour testable at all: a failure you cannot
 // replay is a failure you cannot regression-test.
 //
-// The package is dependency-free by design; each substrate layer
-// (internal/noc, internal/reconfig) adapts its own operations onto
-// Injector.Check sites.
+// The package is dependency-free by design; each layer (internal/reconfig
+// for the runtime and its NoC, internal/vivado for the CAD tool) adapts
+// its own operations onto Injector.Check sites.
 package faultinject
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"strings"
+	"sync"
 )
 
 // Op identifies one class of injectable operation.
@@ -40,9 +50,7 @@ const (
 	// OpKernel is accelerator kernel execution on a tile.
 	OpKernel
 	// OpCADSynth is a (simulated) CAD synthesis run in the compile-time
-	// flow. CAD operations are checked through vivado.FaultHook by a
-	// StableInjector, whose occurrence windows apply independently at
-	// each site (see StableInjector).
+	// flow. CAD operations are checked through vivado.FaultHook.
 	OpCADSynth
 	// OpCADFloorplan is the floorplanning step of the flow.
 	OpCADFloorplan
@@ -57,9 +65,9 @@ const (
 	// induced bit flip in a tile's resident configuration image. SEU
 	// occurrences are the runtime's periodic per-tile config-memory
 	// sample ticks (reconfig.Config.SEUCheckInterval apart in virtual
-	// time), checked through a StableInjector so each tile's upset
-	// schedule is a pure function of (seed, rule, tile, tick) — never of
-	// what other tiles or operations did first.
+	// time), so each tile's upset schedule is a pure function of
+	// (seed, rule, tile, tick) — never of what other tiles or operations
+	// did first.
 	OpSEU
 	numOps
 )
@@ -111,12 +119,13 @@ func ParseOp(s string) (Op, error) {
 // the sites the caller reports (plane name, tile name, accelerator
 // name — whatever labels the layer attaches to the operation).
 //
-// Matching occurrences are numbered from zero. The first After matches
-// never fault. A deterministic rule (Rate == 0) then faults the next
-// Count matches (Count < 0 means every later match — a persistent,
-// stuck-at fault). A rate rule (Rate > 0) faults each later match with
-// probability Rate drawn from the plan's seeded generator, stopping
-// after Count injected faults when Count > 0.
+// Matching occurrences are numbered from zero at each primary site
+// (see Injector). The first After matches never fault. A deterministic
+// rule (Rate == 0) then faults the next Count matches (Count < 0 means
+// every later match — a persistent, stuck-at fault). A rate rule
+// (Rate > 0) faults each later match with probability Rate, drawn by
+// hashing (plan seed, rule index, site, occurrence), stopping after
+// Count injected faults at that site when Count > 0.
 type Rule struct {
 	Op    Op
 	Site  string
@@ -201,7 +210,8 @@ type Fault struct {
 	// Op and Site identify the faulted operation.
 	Op   Op
 	Site string
-	// Seq is the 1-based ordinal of this fault among all injected.
+	// Seq is the 1-based ordinal of this fault among those its rule
+	// injected at its site.
 	Seq int
 	// Rule is the index of the plan rule that fired.
 	Rule int
@@ -223,17 +233,45 @@ func As(err error) (*Fault, bool) {
 	return f, ok
 }
 
-// Injector evaluates a plan against a stream of operations. It is not
-// safe for concurrent use; the single-threaded simulation engine
-// serializes all checks, which is also what keeps the injected fault
-// sequence reproducible.
+// Injector evaluates a plan against operations reported in any order,
+// from one goroutine or many. Its outcome is order-independent by
+// construction:
+//
+//   - occurrence counters are kept per (rule, primary site), where the
+//     primary site is the first site the caller reports: the plane for
+//     transfer, the tile for decouple, recouple, icap, crc and seu, the
+//     accelerator for kernel, and the job's partition, module or design
+//     for the CAD ops (the flow labels every CAD job with a unique
+//     primary site). Operations at one site are serialized by whoever
+//     owns it — the job in the flow, the event order in the runtime — so
+//     each counter advances deterministically however sites interleave.
+//   - rate-rule draws are a pure function of (seed, rule, site,
+//     occurrence) rather than positions in a shared generator stream,
+//     so a draw's outcome cannot depend on which other sites were
+//     checked first, nor on how many other rules the plan holds.
+//
+// The semantic consequence, documented in ParsePlan: a rule's
+// After/Count window applies independently at each primary site. A
+// site-less rule like "synth:count=1" fails the first synthesis of
+// every module, and "icap:count=1" the first ICAP program at every
+// tile — "globally first" is not well-defined under concurrency.
 type Injector struct {
-	plan     Plan
-	rng      splitmix64
-	matches  []int
-	fired    []int
+	plan Plan
+	// ops has bit o set when some rule targets Op o: a check of any other
+	// op (every NoC transfer under an seu-only plan, say) returns
+	// without taking the lock.
+	ops uint32
+
+	mu       sync.Mutex
+	matches  map[ruleSite]int
+	fired    map[ruleSite]int
 	injected int
-	perOp    [numOps]int
+}
+
+// ruleSite keys the per-(rule, primary-site) occurrence counters.
+type ruleSite struct {
+	rule int
+	site string
 }
 
 // New builds an injector for the plan.
@@ -244,47 +282,55 @@ func New(plan Plan) (*Injector, error) {
 	rules := make([]Rule, len(plan.Rules))
 	copy(rules, plan.Rules)
 	plan.Rules = rules
-	return &Injector{
+	in := &Injector{
 		plan:    plan,
-		rng:     splitmix64(plan.Seed),
-		matches: make([]int, len(rules)),
-		fired:   make([]int, len(rules)),
-	}, nil
+		matches: make(map[ruleSite]int),
+		fired:   make(map[ruleSite]int),
+	}
+	for _, r := range rules {
+		in.ops |= 1 << r.Op
+	}
+	return in, nil
 }
 
 // Check reports one occurrence of op at the given sites and returns the
-// fault to inject, or nil. Every matching rule advances its occurrence
-// counter (and rate rules always consume their random draw), so the
-// fault sequence depends only on the operation stream, not on which
-// earlier rules fired. The first listed site labels the fault.
+// fault to inject, or nil. The first listed site is the primary site:
+// it keys the occurrence counters and labels the fault. Every matching
+// rule advances its own counters whether or not an earlier rule fired,
+// so each rule's fault pattern is independent of the others'.
 func (in *Injector) Check(op Op, sites ...string) error {
-	if in == nil {
+	if in == nil || in.ops&(1<<op) == 0 {
 		return nil
 	}
+	primary := firstSite(sites)
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	var fault *Fault
 	for ri := range in.plan.Rules {
 		r := &in.plan.Rules[ri]
 		if r.Op != op || !siteMatches(r.Site, sites) {
 			continue
 		}
-		n := in.matches[ri]
-		in.matches[ri]++
+		k := ruleSite{rule: ri, site: primary}
+		n := in.matches[k]
+		in.matches[k]++
 		if n < r.After {
 			continue
 		}
 		if r.Rate > 0 {
-			hit := in.draw() < r.Rate
-			if !hit || (r.Count > 0 && in.fired[ri] >= r.Count) {
+			if r.Count > 0 && in.fired[k] >= r.Count {
+				continue
+			}
+			if in.draw(ri, primary, n) >= r.Rate {
 				continue
 			}
 		} else if r.Count >= 0 && n >= r.After+r.Count {
 			continue
 		}
-		in.fired[ri]++
+		in.fired[k]++
 		if fault == nil {
 			in.injected++
-			in.perOp[op]++
-			fault = &Fault{Op: op, Site: firstSite(sites), Seq: in.injected, Rule: ri}
+			fault = &Fault{Op: op, Site: primary, Seq: in.fired[k], Rule: ri}
 		}
 	}
 	if fault == nil {
@@ -298,24 +344,27 @@ func (in *Injector) Injected() int {
 	if in == nil {
 		return 0
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	return in.injected
 }
 
-// InjectedBy returns the number of faults delivered for one operation
-// class.
-func (in *Injector) InjectedBy(op Op) int {
-	if in == nil || op < 0 || op >= numOps {
-		return 0
-	}
-	return in.perOp[op]
-}
-
-// Plan returns a copy of the injector's plan.
-func (in *Injector) Plan() Plan {
-	p := in.plan
-	p.Rules = make([]Rule, len(in.plan.Rules))
-	copy(p.Rules, in.plan.Rules)
-	return p
+// draw returns a uniform float64 in [0,1) that depends only on the
+// plan seed, the rule index, the site and the occurrence index — never
+// on how many draws other sites or rules consumed first.
+func (in *Injector) draw(rule int, site string, occurrence int) float64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], in.plan.Seed)
+	h.Write(buf[:])
+	binary.LittleEndian.PutUint64(buf[:], uint64(rule))
+	h.Write(buf[:])
+	h.Write([]byte(site))
+	h.Write([]byte{0xff})
+	binary.LittleEndian.PutUint64(buf[:], uint64(occurrence))
+	h.Write(buf[:])
+	s := splitmix64(h.Sum64())
+	return float64(s.next()>>11) / float64(1<<53)
 }
 
 func siteMatches(want string, sites []string) bool {
@@ -337,14 +386,10 @@ func firstSite(sites []string) string {
 	return sites[0]
 }
 
-// draw returns a uniform float64 in [0,1).
-func (in *Injector) draw() float64 {
-	return float64(in.rng.next()>>11) / float64(1<<53)
-}
-
-// splitmix64 is the same tiny deterministic PRNG the bitstream
-// generator uses: no math/rand dependency, so injected fault sequences
-// are reproducible across Go versions.
+// splitmix64 is the same tiny deterministic mixer the bitstream
+// generator uses; draw runs one step of it over the hashed key. No
+// math/rand dependency, so injected fault sequences are reproducible
+// across Go versions.
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {

@@ -2,10 +2,15 @@ package faultinject
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
+// TestDeterministicRuleWindow: a deterministic rule skips After
+// occurrences, faults the next Count, then stays quiet — and a
+// site-less rule runs that window independently at every primary site.
 func TestDeterministicRuleWindow(t *testing.T) {
 	inj, err := New(Plan{Rules: []Rule{{Op: OpICAP, Site: "rt_1", After: 2, Count: 2}}})
 	if err != nil {
@@ -21,8 +26,27 @@ func TestDeterministicRuleWindow(t *testing.T) {
 			t.Fatalf("occurrence %d: faulted=%v, sequence %v", i, got[i], got)
 		}
 	}
-	if inj.Injected() != 2 || inj.InjectedBy(OpICAP) != 2 {
-		t.Fatalf("injected: %d / %d", inj.Injected(), inj.InjectedBy(OpICAP))
+	if inj.Injected() != 2 {
+		t.Fatalf("injected: %d", inj.Injected())
+	}
+
+	perSite, err := New(Plan{Rules: []Rule{{Op: OpCADSynth, After: 1, Count: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []string{"a", "b"} {
+		if err := perSite.Check(OpCADSynth, site); err != nil {
+			t.Fatalf("site %s occurrence 0 faulted inside the After window", site)
+		}
+		if err := perSite.Check(OpCADSynth, site); err == nil {
+			t.Fatalf("site %s occurrence 1 did not fault", site)
+		}
+		if err := perSite.Check(OpCADSynth, site); err != nil {
+			t.Fatalf("site %s occurrence 2 faulted past the Count window", site)
+		}
+	}
+	if got := perSite.Injected(); got != 2 {
+		t.Fatalf("injected %d faults, want 2 (one per site)", got)
 	}
 }
 
@@ -56,6 +80,25 @@ func TestSiteSelectivity(t *testing.T) {
 	if inj.Check(OpTransfer, "interrupt", "dma") == nil {
 		t.Fatal("rule missed dma as secondary site")
 	}
+
+	// A rule naming a secondary site (the module name Synthesize
+	// appends) matches at every primary site, but its counters stay
+	// keyed on the primary site, which also labels the fault.
+	mod, err := New(Plan{Rules: []Rule{{Op: OpCADSynth, Site: "conv2d_rm", Count: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err1 := mod.Check(OpCADSynth, "rt_1", "conv2d_rm")
+	err2 := mod.Check(OpCADSynth, "rt_2", "conv2d_rm")
+	if err1 == nil || err2 == nil {
+		t.Fatalf("module-site rule should fault the first synthesis at each hosting partition: got %v, %v", err1, err2)
+	}
+	if f, _ := As(err1); f.Site != "rt_1" {
+		t.Fatalf("fault labeled with site %q, want the primary site rt_1", f.Site)
+	}
+	if err := mod.Check(OpCADSynth, "rt_1", "conv2d_rm"); err != nil {
+		t.Fatalf("rt_1's second synthesis faulted past count=1: %v", err)
+	}
 }
 
 func TestFaultError(t *testing.T) {
@@ -71,7 +114,7 @@ func TestFaultError(t *testing.T) {
 	if !ok {
 		t.Fatal("fault not recognized by As")
 	}
-	if f.Op != OpDecouple || f.Site != "rt_1" || f.Seq != 1 {
+	if f.Op != OpDecouple || f.Site != "rt_1" || f.Seq != 1 || f.Rule != 0 {
 		t.Fatalf("fault fields: %+v", f)
 	}
 	if !strings.Contains(ferr.Error(), "decouple") || !strings.Contains(ferr.Error(), "rt_1") {
@@ -116,6 +159,8 @@ func TestRateRuleDeterminism(t *testing.T) {
 	}
 }
 
+// TestRateRuleCountBound: a rate rule stops after Count injections at
+// each site; the cap does not leak across sites.
 func TestRateRuleCountBound(t *testing.T) {
 	inj, err := New(Plan{Seed: 1, Rules: []Rule{{Op: OpKernel, Rate: 1.0, Count: 3}}})
 	if err != nil {
@@ -129,6 +174,9 @@ func TestRateRuleCountBound(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("count bound ignored: %d faults", n)
+	}
+	if inj.Check(OpKernel, "conv2d") == nil {
+		t.Fatal("count cap leaked across sites: site conv2d should still fault")
 	}
 }
 
@@ -192,7 +240,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if inj.Check(OpICAP, "rt_1") != nil {
 		t.Fatal("nil injector faulted")
 	}
-	if inj.Injected() != 0 || inj.InjectedBy(OpICAP) != 0 {
+	if inj.Injected() != 0 {
 		t.Fatal("nil injector counted")
 	}
 }
@@ -260,33 +308,198 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
-// TestDrawConsumptionIsStable: rate rules consume a draw on every
-// match whether or not an earlier deterministic rule fired, so adding
-// a one-shot rule does not shift the rate rule's later fault pattern.
+// TestDrawConsumptionIsStable: appending a rule to a plan — one-shot
+// or rate, at the same site or another — leaves every existing rule's
+// per-site fault pattern unchanged. Each rule keeps its own occurrence
+// counters and hashes its own draws, so an appended rule can add faults
+// but never move one of an earlier rule's. (A shared generator stream
+// fails this: an appended rate rule consumes draws between the
+// existing rule's.)
 func TestDrawConsumptionIsStable(t *testing.T) {
-	run := func(extra bool) string {
-		rules := []Rule{{Op: OpTransfer, Rate: 0.25}}
-		if extra {
-			rules = append([]Rule{{Op: OpTransfer, Count: 1}}, rules...)
-		}
-		inj, err := New(Plan{Seed: 3, Rules: rules})
+	bases := []Plan{
+		{Seed: 3, Rules: []Rule{{Op: OpTransfer, Rate: 0.25}}},
+		{Seed: 5, Rules: []Rule{
+			{Op: OpTransfer, Site: "dma", Rate: 0.4, Count: 5},
+			{Op: OpTransfer, Site: "rt_1", After: 3, Count: 2},
+		}},
+		{Seed: 8, Rules: []Rule{
+			{Op: OpTransfer, After: 1, Count: 1},
+			{Op: OpTransfer, Rate: 0.1},
+		}},
+	}
+	appended := []Rule{
+		{Op: OpTransfer, Count: 1},                             // one-shot, every site
+		{Op: OpTransfer, Site: "dma", Count: 1},                // one-shot, same site
+		{Op: OpTransfer, Site: "mem-rsp", After: 2, Count: -1}, // persistent, other site
+		{Op: OpTransfer, Rate: 0.5},                            // rate, every site
+		{Op: OpTransfer, Site: "dma", Rate: 0.3},               // rate, same site
+		{Op: OpTransfer, Site: "mem-rsp", Rate: 0.7, Count: 3}, // rate, other site
+	}
+	// pattern drives one fixed interleaving of transfers over three
+	// planes (primary sites) and three endpoint tiles, and records per
+	// check which of the first nBase rules the fault names — -1 when
+	// none of them fired.
+	pattern := func(plan Plan, nBase int) []int {
+		in, err := New(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b strings.Builder
-		for i := 0; i < 100; i++ {
-			if inj.Check(OpTransfer, "dma") != nil {
-				b.WriteByte('X')
-			} else {
-				b.WriteByte('.')
+		rng := rand.New(rand.NewSource(1))
+		planes := []string{"dma", "mem-rsp", "interrupt"}
+		out := make([]int, 0, 300)
+		for i := 0; i < 300; i++ {
+			plane := planes[rng.Intn(len(planes))]
+			tile := fmt.Sprintf("rt_%d", rng.Intn(3))
+			rule := -1
+			if f, ok := As(in.Check(OpTransfer, plane, tile)); ok && f.Rule < nBase {
+				rule = f.Rule
+			}
+			out = append(out, rule)
+		}
+		return out
+	}
+	for bi, base := range bases {
+		want := pattern(base, len(base.Rules))
+		for _, extra := range appended {
+			plan := base
+			plan.Rules = append(append([]Rule(nil), base.Rules...), extra)
+			got := pattern(plan, len(base.Rules))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("base %d + %s: check %d names rule %d, without the appended rule %d", bi, extra, i, got[i], want[i])
+				}
 			}
 		}
-		return b.String()
 	}
-	plain, withExtra := run(false), run(true)
-	// Occurrence 0 faults deterministically in the extra run; the rate
-	// pattern from occurrence 1 on must be unchanged.
-	if plain[1:] != withExtra[1:] {
-		t.Fatalf("one-shot rule perturbed the rate sequence:\n%s\n%s", plain, withExtra)
+}
+
+// outcomeMap records, for a sequence of per-site checks, which (site,
+// occurrence) pairs faulted.
+type outcomeMap map[string]bool
+
+// driveSites runs nPerSite checks of op at every site, interleaving
+// sites in the order perm yields, and returns the fault outcomes keyed
+// by site/occurrence. Per-site order is fixed (occurrence 0,1,2,...) —
+// the serialization a flow job or the runtime's event order gives each
+// site — while cross-site interleaving is arbitrary.
+func driveSites(t *testing.T, plan Plan, op Op, sites []string, nPerSite int, rng *rand.Rand) outcomeMap {
+	t.Helper()
+	in, err := New(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make(map[string]int, len(sites))
+	var order []string
+	for _, s := range sites {
+		for i := 0; i < nPerSite; i++ {
+			order = append(order, s)
+		}
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+
+	out := make(outcomeMap)
+	for _, s := range order {
+		out[fmt.Sprintf("%s/%d", s, next[s])] = in.Check(op, s) != nil
+		next[s]++
+	}
+	return out
+}
+
+// TestOrderIndependence: for deterministic and rate rules alike, the
+// set of faulted (site, occurrence) pairs is identical for every
+// cross-site interleaving — the property that keeps CAD fault
+// injection byte-identical for any worker count and runtime faults
+// independent of how tiles' events interleave.
+func TestOrderIndependence(t *testing.T) {
+	plans := []Plan{
+		{Rules: []Rule{{Op: OpCADSynth, Count: 1}}},
+		{Rules: []Rule{{Op: OpCADImpl, Site: "rt_1", After: 1, Count: 2}}},
+		{Seed: 7, Rules: []Rule{{Op: OpCADSynth, Rate: 0.5}}},
+		{Seed: 99, Rules: []Rule{{Op: OpCADBitgen, Rate: 0.3, Count: 2}, {Op: OpCADBitgen, Site: "full", Count: -1}}},
+		{Seed: 4, Rules: []Rule{{Op: OpICAP, Rate: 0.4}, {Op: OpICAP, Site: "rt_2", Count: 1}}},
+	}
+	sites := []string{"rt_1", "rt_2", "static", "full"}
+	for pi, plan := range plans {
+		op := plan.Rules[0].Op
+		var baseline outcomeMap
+		for trial := 0; trial < 10; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			out := driveSites(t, plan, op, sites, 6, rng)
+			if trial == 0 {
+				baseline = out
+				continue
+			}
+			for k, v := range out {
+				if baseline[k] != v {
+					t.Fatalf("plan %d trial %d: outcome at %s is %v, baseline says %v", pi, trial, k, v, baseline[k])
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentDeterminism: checks arriving from many goroutines
+// (per-site serialized, as the flow guarantees) produce the same
+// outcome set as a single-threaded run.
+func TestConcurrentDeterminism(t *testing.T) {
+	plan := Plan{Seed: 42, Rules: []Rule{
+		{Op: OpCADSynth, Rate: 0.4},
+		{Op: OpCADSynth, Site: "rt_2", After: 2, Count: -1},
+	}}
+	sites := []string{"rt_1", "rt_2", "rt_3", "static"}
+	const nPerSite = 50
+
+	reference := driveSites(t, plan, OpCADSynth, sites, nPerSite, rand.New(rand.NewSource(1)))
+
+	for trial := 0; trial < 5; trial++ {
+		in, err := New(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		got := make(outcomeMap)
+		var wg sync.WaitGroup
+		for _, s := range sites {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < nPerSite; i++ {
+					err := in.Check(OpCADSynth, s)
+					mu.Lock()
+					got[fmt.Sprintf("%s/%d", s, i)] = err != nil
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		for k, v := range got {
+			if reference[k] != v {
+				t.Fatalf("trial %d: concurrent outcome at %s is %v, single-threaded reference says %v", trial, k, v, reference[k])
+			}
+		}
+	}
+}
+
+// TestCADOpsParse: the five CAD ops round-trip through ParseOp/String
+// and the shared plan grammar.
+func TestCADOpsParse(t *testing.T) {
+	for _, op := range []Op{OpCADSynth, OpCADFloorplan, OpCADImpl, OpCADBitgen, OpCADDRC} {
+		got, err := ParseOp(op.String())
+		if err != nil {
+			t.Fatalf("ParseOp(%q): %v", op.String(), err)
+		}
+		if got != op {
+			t.Fatalf("ParseOp(%q) = %v, want %v", op.String(), got, op)
+		}
+	}
+	plan, err := ParsePlan("seed=9,synth@rt_1:count=1,impl=0.3,bitgen@rt_2:count=-1,drc@rt_1,floorplan:after=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Seed != 9 || len(plan.Rules) != 5 {
+		t.Fatalf("parsed plan %+v", plan)
+	}
+	if _, err := New(*plan); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,34 +16,51 @@ import (
 //
 //	<op>[@<site>][=<rate>][:after=<n>][:count=<n>]
 //
-// Runtime operations — transfer, decouple, recouple, icap, crc, kernel
-// — are injected by the single-threaded simulation engine; <site> is a
-// plane, tile or accelerator name, and occurrences are numbered
-// globally in event order. CAD operations — synth, floorplan, impl,
-// bitgen, drc — are injected into the concurrent flow engine through a
-// StableInjector; <site> is a partition name, module name, design name
-// or bitstream name, and each rule's After/Count window applies
-// independently at every site (retries of a job advance that site's
-// occurrence counter), which is what keeps injected CAD faults
-// byte-identical for any worker count.
+// Runtime operations — transfer, decouple, recouple, icap, crc,
+// kernel — are reported by the simulation engine; <site> is a plane,
+// tile or accelerator name. CAD operations — synth, floorplan, impl,
+// bitgen, drc — are reported by the concurrent flow engine; <site> is a
+// partition name, module name, design name or bitstream name.
+//
+// Every op is evaluated by one order-independent Injector: a rule's
+// After/Count window applies independently at each primary site, the
+// first site the reporting layer lists for the operation:
+//
+//	transfer                   the NoC plane (dma, mem-rsp, ...)
+//	decouple, recouple         the tile
+//	icap, crc, seu             the tile
+//	kernel                     the accelerator
+//	synth, bitgen, drc         the partition (static, rt_<n>_rp), or
+//	                           full for whole-device runs
+//	impl                       static (pre-route), the design (serial)
+//	                           or the in-context group's first partition
+//	floorplan                  the design
+//
+// A rule naming a secondary site (an endpoint tile of a transfer, the
+// accelerator of an ICAP program) still matches, but its counters stay
+// keyed on the primary site. So "icap:count=1" fails the first ICAP
+// program at every tile, and "synth:count=1" the first synthesis of
+// every module. Retries advance their site's occurrence counter. Rate
+// draws hash (seed, rule, site, occurrence), so injected faults are
+// byte-identical for any flow worker count and any cross-site event
+// order, and appending a rule never moves where earlier rules fire.
 //
 // The seu operation models configuration-memory single-event upsets:
 // a matching occurrence flips one bit in the target tile's resident
 // configuration image (detected and repaired by the readback scrubber
 // when reconfig.Config.ScrubInterval is set). Occurrences are the
 // runtime's periodic per-tile config-memory sample ticks
-// (reconfig.Config.SEUCheckInterval apart in virtual time), and —
-// like the CAD ops — seu rules are evaluated by a StableInjector, so
-// each tile's upset schedule is a pure function of (seed, rule, tile,
-// tick), independent of every other tile's. <site> is a tile name or
-// the name of the accelerator the tile holds. A seu rule with a zero
-// rate and no count is rejected with an explicit error: it would
-// inject nothing.
+// (reconfig.Config.SEUCheckInterval apart in virtual time), so each
+// tile's upset schedule is a pure function of (seed, rule, tile,
+// tick). <site> is a tile name or the name of the accelerator the tile
+// holds. A seu rule with a zero rate and no count is rejected with an
+// explicit error: it would inject nothing.
 //
 // A rule without a rate is deterministic and fires once by default;
 // count=-1 makes it persistent (stuck-at). Examples:
 //
 //	icap@rt_1:count=2            fail the tile's first two ICAP programs
+//	icap:count=1                 fail the first ICAP program at every tile
 //	transfer@dma=0.05            drop 5% of DMA-plane packets (seeded)
 //	recouple@rt_2:after=1:count=-1   decoupler stuck after one success
 //	seed=42,crc=0.2              corrupt 20% of bitstream fetches

@@ -212,7 +212,7 @@ func planHasSEU(p *faultinject.Plan) bool {
 }
 
 // seuBit picks the bit an SEU flips: a pure hash of (seed, tile, tick
-// ordinal) over the image's bit space. Like the StableInjector's
+// ordinal) over the image's bit space. Like the fault injector's
 // draws, the choice depends on nothing that happened on other tiles,
 // so the corruption pattern — and therefore every post-repair CRC — is
 // identical for any flow worker count and any event interleaving.
@@ -266,7 +266,7 @@ func (r *Runtime) healthTick() {
 // their frames, and the swap installs a fresh image anyway. Dead and
 // never-programmed tiles have no resident image to corrupt.
 func (r *Runtime) seuPass() {
-	if r.seuInj == nil {
+	if r.inj == nil {
 		return
 	}
 	for _, name := range r.tileNames {
@@ -274,8 +274,8 @@ func (r *Runtime) seuPass() {
 		if ts.mem == nil || ts.mem.golden == nil || ts.dead || ts.reconfig || ts.loaded == "" {
 			continue
 		}
-		if ferr := r.seuInj.Check(faultinject.OpSEU, name, ts.loaded); ferr != nil {
-			bit := seuBit(r.seuSeed, name, r.healthTickNo, ts.mem.bits())
+		if ferr := r.inj.Check(faultinject.OpSEU, name, ts.loaded); ferr != nil {
+			bit := seuBit(r.cfg.FaultPlan.Seed, name, r.healthTickNo, ts.mem.bits())
 			ts.mem.flip(bit)
 			r.stats.Scrub.Upsets++
 			r.mScrubUpsets.Inc()
@@ -373,12 +373,12 @@ func (r *Runtime) scheduleRepair(ts *tileState, tileName string) {
 }
 
 // armHealth wires the health subsystem during New: resolve the tick
-// period, the scrub cadence and the SEU injector. The chain itself
-// starts parked; the first runtime entry point unparks it.
-func (r *Runtime) armHealth() error {
-	hasSEU := planHasSEU(r.cfg.FaultPlan)
-	if r.cfg.ScrubInterval <= 0 && !hasSEU {
-		return nil
+// period and the scrub cadence. seu rules run on the runtime's one
+// fault injector. The chain itself starts parked; the first runtime
+// entry point unparks it.
+func (r *Runtime) armHealth() {
+	if r.cfg.ScrubInterval <= 0 && !planHasSEU(r.cfg.FaultPlan) {
+		return
 	}
 	r.seuTick = r.cfg.SEUCheckInterval
 	if r.seuTick <= 0 {
@@ -395,14 +395,5 @@ func (r *Runtime) armHealth() error {
 			r.scrubEvery = 1
 		}
 	}
-	if hasSEU {
-		inj, err := faultinject.NewStable(*r.cfg.FaultPlan)
-		if err != nil {
-			return err
-		}
-		r.seuInj = inj
-		r.seuSeed = r.cfg.FaultPlan.Seed
-	}
 	r.healthArmed = true
-	return nil
 }

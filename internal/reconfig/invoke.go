@@ -164,7 +164,7 @@ func (r *Runtime) execute(ts *tileState, accName string, in [][]float64, start s
 		}
 		// Functional execution. An injected kernel fault models a
 		// datapath error the accelerator's done register reports.
-		if ferr := r.faultCheck(faultinject.OpKernel, accName, ts.t.Name); ferr != nil {
+		if ferr := r.inj.Check(faultinject.OpKernel, accName, ts.t.Name); ferr != nil {
 			finish(nil, ferr)
 			return
 		}

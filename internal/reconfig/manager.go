@@ -213,7 +213,7 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 		// consumes it. An injected fetch fault delivers a corrupted
 		// copy, which the real verification machinery then catches.
 		fetched := bs
-		if ferr := r.faultCheck(faultinject.OpFetchCRC, req.tileName, req.accName); ferr != nil {
+		if ferr := r.inj.Check(faultinject.OpFetchCRC, req.tileName, req.accName); ferr != nil {
 			fetched = bs.CorruptedCopy(attempt)
 		}
 		if verr := fetched.Verify(); verr != nil {
@@ -232,7 +232,7 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 					vusec(arrive), vusec(finish)-vusec(arrive),
 					map[string]any{"bytes": bs.Size()})
 			}
-			if ferr := r.faultCheck(faultinject.OpICAP, req.tileName, req.accName); ferr != nil {
+			if ferr := r.inj.Check(faultinject.OpICAP, req.tileName, req.accName); ferr != nil {
 				fail(ferr)
 				return
 			}

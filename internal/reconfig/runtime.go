@@ -123,7 +123,7 @@ type Config struct {
 	ScrubInterval sim.Time
 	// SEUCheckInterval is the virtual-time period of the per-tile
 	// config-memory sample ticks that drive seu fault-plan rules (each
-	// tick is one StableInjector occurrence per tile). Zero derives it
+	// tick is one seu occurrence per tile). Zero derives it
 	// from ScrubInterval/4, falling back to 50µs — scrubbing coarser
 	// than the upset process keeps multi-bit accumulation observable.
 	SEUCheckInterval sim.Time
@@ -134,8 +134,11 @@ type Config struct {
 	// and accelerator names), kernel execution (sites: accelerator
 	// and tile names) and configuration-memory SEUs (sites: tile and
 	// resident accelerator names; seu rules are sampled every
-	// SEUCheckInterval of virtual time through a StableInjector, so the
-	// upset schedule is invariant under flow worker count).
+	// SEUCheckInterval of virtual time). The first site listed is the
+	// primary site: each rule's After/Count window applies per
+	// primary site, so "icap:count=1" fails the first ICAP program at
+	// every tile (see faultinject.ParsePlan), and the fault schedule
+	// does not depend on how operations at different sites interleave.
 	FaultPlan *faultinject.Plan
 	// Observer, when non-nil, attaches the observability layer: the
 	// runtime records every reconfiguration as a Chrome-trace span in
@@ -270,19 +273,19 @@ type Runtime struct {
 	tileNames []string
 	// posName labels mesh coordinates with tile names for fault sites.
 	posName map[noc.Coord]string
-	// inj is the armed fault injector (nil when no FaultPlan is set).
+	// inj is the armed fault injector for every op, seu included (nil,
+	// and then inert, when no FaultPlan is set). Every check lists its
+	// primary site first, since that site keys the rule windows.
 	inj *faultinject.Injector
 
-	// Config-memory health subsystem (see confmem.go). seuInj evaluates
-	// seu rules order-independently; the tick chain is parked whenever
-	// it would be the only pending event, so Engine.Run(0) still drains.
+	// Config-memory health subsystem (see confmem.go). The tick chain is
+	// parked whenever it would be the only pending event, so
+	// Engine.Run(0) still drains.
 	healthArmed     bool
 	healthScheduled bool
 	healthTickNo    int64
 	seuTick         sim.Time
 	scrubEvery      int
-	seuInj          *faultinject.StableInjector
-	seuSeed         uint64
 	// appInFlight counts outstanding application requests (demand
 	// reconfigs, invocations, CPU runs). The health tick chain runs
 	// only while it is positive — scrub repairs deliberately do not
@@ -370,9 +373,7 @@ func New(eng *sim.Engine, d *socgen.Design, reg *accel.Registry, plan *floorplan
 	if cfg.SEUCheckInterval < 0 {
 		return nil, fmt.Errorf("reconfig: negative SEU check interval %v", cfg.SEUCheckInterval)
 	}
-	if err := r.armHealth(); err != nil {
-		return nil, err
-	}
+	r.armHealth()
 	var haveMem, haveAux, haveCPU bool
 	for i := range d.Cfg.Tiles {
 		t := &d.Cfg.Tiles[i]
@@ -509,20 +510,10 @@ func (r *Runtime) siteName(c noc.Coord) string {
 	return c.String()
 }
 
-// faultCheck consults the armed injector; with no fault plan it is
-// free. Sites order matters only for the fault's label.
-func (r *Runtime) faultCheck(op faultinject.Op, sites ...string) error {
-	if r.inj == nil {
-		return nil
-	}
-	return r.inj.Check(op, sites...)
-}
-
-// FaultsInjected reports how many faults the armed injectors have
-// delivered so far (zero without a FaultPlan). SEUs are counted by
-// their own stable injector, so they are included here.
+// FaultsInjected reports how many faults the armed injector has
+// delivered so far, SEUs included (zero without a FaultPlan).
 func (r *Runtime) FaultsInjected() int {
-	return r.inj.Injected() + r.seuInj.InjectedBy(faultinject.OpSEU)
+	return r.inj.Injected()
 }
 
 // Engine exposes the simulation engine (for scheduling application work).

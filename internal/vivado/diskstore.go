@@ -256,28 +256,7 @@ func (ds *DiskStore) Load(key string) (*SynthCheckpoint, bool) {
 	if key == "" {
 		return nil, false
 	}
-	start := time.Now()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	defer func() { ds.hLoad.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
-	}
-	ck, err := decodeDiskEntry(data)
-	if err != nil {
-		ds.quarantineLocked(path, int64(len(data)))
-		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
-	}
-	// Touch the entry: GC evicts oldest-accessed first, and mtime is the
-	// access record that survives restarts.
-	now := time.Now()
-	os.Chtimes(path, now, now) //nolint:errcheck // best-effort recency hint
-	count(&ds.hits, &ds.exported.hits, ds.mHits)
-	return ck, true
+	return loadEntry(ds, ds.path(key), decodeDiskEntry)
 }
 
 // Store persists ck under key with an atomic CreateTemp+Rename write,
@@ -289,25 +268,54 @@ func (ds *DiskStore) Store(key string, ck *SynthCheckpoint) error {
 	if key == "" || ck == nil {
 		return fmt.Errorf("vivado: disk store: empty key or nil checkpoint")
 	}
+	return ds.storeEntry(ds.path(key), func() ([]byte, error) { return encodeDiskEntry(ck) })
+}
+
+// loadEntry is the one read path behind Load and LoadArtifact: a
+// locked read of path, verified and decoded by decode, with a corrupt
+// entry quarantined, a good one touched, and the outcome counted.
+func loadEntry[T any](ds *DiskStore, path string, decode func([]byte) (T, error)) (T, bool) {
+	var zero T
+	start := time.Now()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	defer func() { ds.hLoad.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		count(&ds.misses, &ds.exported.misses, ds.mMisses)
+		return zero, false
+	}
+	v, err := decode(data)
+	if err != nil {
+		ds.quarantineLocked(path, int64(len(data)))
+		count(&ds.misses, &ds.exported.misses, ds.mMisses)
+		return zero, false
+	}
+	// Touch the entry: GC evicts oldest-accessed first, and mtime is the
+	// access record that survives restarts.
+	now := time.Now()
+	os.Chtimes(path, now, now) //nolint:errcheck // best-effort recency hint
+	count(&ds.hits, &ds.exported.hits, ds.mHits)
+	return v, true
+}
+
+// storeEntry is the one write path behind Store and StoreArtifact:
+// under the lock, an entry already at path is kept (content-addressed:
+// it is already durable); otherwise encode renders the sealed entry —
+// only now, so a present key costs no encoding — and it is written with
+// an atomic CreateTemp+Rename, then the byte budget is applied.
+func (ds *DiskStore) storeEntry(path string, encode func() ([]byte, error)) error {
 	start := time.Now()
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	defer func() { ds.hStore.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.path(key)
 	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: the entry is already durable
+		return nil
 	}
-	data, err := encodeDiskEntry(ck)
+	data, err := encode()
 	if err != nil {
 		return fmt.Errorf("vivado: disk store: %w", err)
 	}
-	return ds.writeEntryLocked(path, data)
-}
-
-// writeEntryLocked persists one sealed entry with an atomic
-// CreateTemp+Rename write, then applies the byte budget. Callers hold
-// ds.mu.
-func (ds *DiskStore) writeEntryLocked(path string, data []byte) error {
 	tmp, err := os.CreateTemp(ds.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("vivado: disk store: %w", err)
@@ -425,26 +433,7 @@ func (ds *DiskStore) LoadArtifact(key string) ([]byte, bool) {
 	if key == "" {
 		return nil, false
 	}
-	start := time.Now()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	defer func() { ds.hLoad.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.artifactPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
-	}
-	body, err := decodeDiskArtifact(data)
-	if err != nil {
-		ds.quarantineLocked(path, int64(len(data)))
-		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
-	}
-	now := time.Now()
-	os.Chtimes(path, now, now) //nolint:errcheck // best-effort recency hint
-	count(&ds.hits, &ds.exported.hits, ds.mHits)
-	return body, true
+	return loadEntry(ds, ds.artifactPath(key), decodeDiskArtifact)
 }
 
 // StoreArtifact persists a stage-artifact JSON body under key with the
@@ -457,15 +446,7 @@ func (ds *DiskStore) StoreArtifact(key string, body []byte) error {
 	if !json.Valid(body) {
 		return fmt.Errorf("vivado: disk store: artifact body is not valid JSON")
 	}
-	start := time.Now()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	defer func() { ds.hStore.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.artifactPath(key)
-	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: the entry is already durable
-	}
-	return ds.writeEntryLocked(path, sealDiskPayload(body))
+	return ds.storeEntry(ds.artifactPath(key), func() ([]byte, error) { return sealDiskPayload(body), nil })
 }
 
 // quarantineLocked moves a corrupt entry aside as <name>.bad (deleting

@@ -65,9 +65,15 @@ func TestMaterializeSingleFlight(t *testing.T) {
 // blocking compute, parks followers on it, then fails the leader: every
 // follower must observe the leader's error, the key must not stay
 // wedged, and the next caller must start a fresh flight.
+//
+// A follower goroutine that arrives after the first flight closed leads
+// a second flight and fails with errLate from its own compute; callers
+// that join that second flight then see errLate as followers. So a
+// follower's error is boom, or errLate when some late caller led.
 func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 	cache := NewCheckpointCache()
 	boom := errors.New("synthesis crashed")
+	errLate := errors.New("late caller computed")
 	started := make(chan struct{})
 	release := make(chan struct{})
 
@@ -96,7 +102,7 @@ func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, froles[i], ferrs[i] = cache.materialize("k", func() (*SynthCheckpoint, error) {
-				return nil, errors.New("follower must not compute")
+				return nil, errLate
 			})
 		}()
 	}
@@ -105,14 +111,22 @@ func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 	if err := <-leaderDone; !errors.Is(err, boom) {
 		t.Fatalf("leader error = %v, want %v", err, boom)
 	}
+	lateLed := false
 	for i := 0; i < followers; i++ {
-		// A follower that arrived after the flight closed becomes a new
-		// leader and fails on its own compute; either way no goroutine
-		// may hang and no one may see a checkpoint.
+		if froles[i] == roleLeader {
+			if !errors.Is(ferrs[i], errLate) {
+				t.Fatalf("late leader %d error = %v, want its own %v", i, ferrs[i], errLate)
+			}
+			lateLed = true
+		}
+	}
+	for i := 0; i < followers; i++ {
+		// Either way no goroutine may hang and no one may see a
+		// checkpoint.
 		if ferrs[i] == nil {
 			t.Fatalf("follower %d got nil error", i)
 		}
-		if froles[i] == roleFollower && !errors.Is(ferrs[i], boom) {
+		if froles[i] == roleFollower && !errors.Is(ferrs[i], boom) && !(lateLed && errors.Is(ferrs[i], errLate)) {
 			t.Fatalf("follower %d error = %v, want leader's %v", i, ferrs[i], boom)
 		}
 	}
